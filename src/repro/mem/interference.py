@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.mem.cache import Cache, CacheConfig, CacheStats
 from repro.trace.model import MemTrace
+from repro.trace.synth import round_robin
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,25 +55,11 @@ def _interleave(traces: Sequence[MemTrace], quantum: int) -> MemTrace:
     """Round-robin the traces in quantum-sized slices, with disjoint
     address spaces (threads do not share data)."""
     offset_step = 1 << 30
-    parts_addr = []
-    parts_write = []
-    cursors = [0] * len(traces)
-    live = set(range(len(traces)))
-    while live:
-        for index in sorted(live):
-            trace = traces[index]
-            start = cursors[index]
-            stop = min(start + quantum, len(trace))
-            parts_addr.append(
-                trace.addresses[start:stop] + index * offset_step
-            )
-            parts_write.append(trace.is_write[start:stop])
-            cursors[index] = stop
-            if stop >= len(trace):
-                live.discard(index)
-    return MemTrace(
-        np.concatenate(parts_addr), np.concatenate(parts_write), name="shared"
+    addresses, writes, owner = round_robin(
+        [(trace.addresses, trace.is_write) for trace in traces],
+        [quantum] * len(traces),
     )
+    return MemTrace(addresses + owner * offset_step, writes, name="shared")
 
 
 def multithreaded_traffic(

@@ -1,9 +1,9 @@
 """Deterministic N-tenant trace mixing with per-tenant attribution.
 
-Generalises :func:`repro.mem.interference._interleave` (two-or-more
-equal threads, fixed quantum) to weighted tenants: each round of the
-interleave advances tenant *i* by ``quantum x weight_i`` references, in
-spec order, until every tenant's stream is exhausted. Tenants occupy
+Weighted tenants on the shared round-robin kernel
+(:func:`repro.trace.synth.round_robin`): each round of the interleave
+advances tenant *i* by ``quantum x weight_i`` references, in spec order,
+until every tenant's stream is exhausted. Tenants occupy
 disjoint 1 GB address windows — tenants do not share data, they share
 the *hierarchy* — which is also what makes attribution exact: every
 byte moved below the cache names its tenant in its address.
@@ -27,7 +27,7 @@ from repro.mem.cache import Cache, CacheConfig
 from repro.scenario.patterns import build_pattern
 from repro.scenario.spec import MAX_FOOTPRINT_BYTES, ScenarioSpec
 from repro.trace.model import MemTrace
-from repro.trace.synth import StreamPair
+from repro.trace.synth import StreamPair, round_robin
 
 __all__ = [
     "MixedTrace",
@@ -68,6 +68,7 @@ def interleave_weighted(
     *,
     quantum: int,
     weights: list[int],
+    limit: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted round-robin interleave onto disjoint address windows.
 
@@ -75,6 +76,7 @@ def interleave_weighted(
     visit tenants in list order, tenant *i* advancing ``quantum x
     weight_i`` references per round until exhausted — shorter streams
     simply drop out of later rounds, as in the interference model.
+    *limit* builds only the first *limit* references.
     """
     if not streams:
         raise ScenarioError("interleave needs at least one tenant stream")
@@ -84,29 +86,12 @@ def interleave_weighted(
         )
     if quantum <= 0:
         raise ScenarioError(f"quantum must be positive, got {quantum}")
-    addr_parts: list[np.ndarray] = []
-    write_parts: list[np.ndarray] = []
-    id_parts: list[np.ndarray] = []
-    cursors = [0] * len(streams)
-    live = set(range(len(streams)))
-    while live:
-        for index in sorted(live):
-            addresses, writes = streams[index]
-            start = cursors[index]
-            stop = min(start + quantum * weights[index], addresses.size)
-            addr_parts.append(addresses[start:stop] + index * OFFSET_STEP)
-            write_parts.append(writes[start:stop])
-            id_parts.append(
-                np.full(stop - start, index, dtype=np.int16)
-            )
-            cursors[index] = stop
-            if stop >= addresses.size:
-                live.discard(index)
-    return (
-        np.concatenate(addr_parts),
-        np.concatenate(write_parts),
-        np.concatenate(id_parts),
+    if min(weights) < 1:
+        raise ScenarioError(f"weights must be at least 1, got {weights}")
+    addresses, writes, owner = round_robin(
+        streams, [quantum * weight for weight in weights], limit=limit
     )
+    return addresses + owner * OFFSET_STEP, writes, owner.astype(np.int16)
 
 
 def build_streams(
@@ -134,12 +119,19 @@ def build_streams(
     return streams
 
 
-def mix_stream(spec: ScenarioSpec, rng: np.random.Generator) -> StreamPair:
-    """The scenario's shared stream — the :class:`ScenarioWorkload` build."""
+def mix_stream(
+    spec: ScenarioSpec, rng: np.random.Generator, limit: int | None = None
+) -> StreamPair:
+    """The scenario's shared stream — the :class:`ScenarioWorkload` build.
+
+    *limit* builds only the interleave's first *limit* references; every
+    tenant's own stream is still drawn whole.
+    """
     addresses, writes, _ = interleave_weighted(
         build_streams(spec, rng),
         quantum=spec.quantum,
         weights=[tenant.weight for tenant in spec.tenants],
+        limit=limit,
     )
     return addresses, writes
 

@@ -54,8 +54,10 @@ class ScenarioWorkload(SyntheticWorkload):
             f"quantum {spec.quantum}"
         )
 
-    def _build(self, rng: np.random.Generator) -> StreamPair:
-        return mix_stream(self.spec, rng)
+    def _build(
+        self, rng: np.random.Generator, limit: int | None = None
+    ) -> StreamPair:
+        return mix_stream(self.spec, rng, limit)
 
     def generate(
         self, *, seed: int | None = None, max_refs: int | None = None

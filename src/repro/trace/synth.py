@@ -14,6 +14,8 @@ Vortex).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.errors import WorkloadError
@@ -450,11 +452,68 @@ def merge_sort_passes(base: int, n_words: int) -> StreamPair:
     return np.concatenate(addr_parts), np.concatenate(write_parts)
 
 
+def round_robin(
+    streams: Sequence[StreamPair],
+    chunks: Sequence[int],
+    *,
+    limit: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interleave streams in round-robin chunks: the one interleave kernel.
+
+    Each round visits the streams in list order and takes the next
+    ``chunks[i]`` references of stream *i* (fewer at its end); an exhausted
+    stream drops out of later rounds. Returns ``(addresses, is_write,
+    owner)``, where ``owner[k]`` (int64) is the index of the stream that
+    output *k* came from.
+
+    With *limit*, only the first *limit* outputs are built — exactly the
+    unlimited result's prefix. The schedule then covers only the rounds that
+    prefix spans, and the gather reads only the prefix of each stream those
+    rounds consume.
+    """
+    if not streams:
+        raise WorkloadError("round_robin needs at least one stream")
+    if len(chunks) != len(streams):
+        raise WorkloadError(
+            f"{len(streams)} streams but {len(chunks)} chunk sizes"
+        )
+    chunk = np.asarray(chunks, dtype=np.int64)
+    if chunk.min() < 1:
+        raise WorkloadError(f"chunk sizes must be positive, got {list(chunks)}")
+    lengths = np.array([s[0].size for s in streams], dtype=np.int64)
+    rounds = int((-(-lengths // chunk)).max())
+    if limit is not None:
+        _check_positive(limit, "limit")
+        # Every round but the last takes a whole chunk, at least
+        # min(chunks) references, from the stream that lasts longest, so
+        # this many rounds always reach the limit.
+        rounds = min(rounds, -(-limit // int(chunk.min())))
+    # Segment (r, i) is stream i's slice [r * chunk_i, r * chunk_i + size);
+    # flattened row-major, the segments are in output order.
+    starts = np.arange(rounds, dtype=np.int64)[:, None] * chunk
+    sizes = np.clip(lengths - starts, 0, chunk).ravel()
+    ends = np.cumsum(sizes)
+    if limit is not None:
+        ends = np.minimum(ends, limit)
+        sizes = np.diff(ends, prepend=0)
+    # Gather from one pool holding the consumed prefix of each stream.
+    used = sizes.reshape(rounds, len(streams)).sum(axis=0)
+    pool_base = np.cumsum(used) - used
+    source = (starts + pool_base).ravel() - (ends - sizes)
+    index = np.arange(int(used.sum()), dtype=np.int64) + np.repeat(source, sizes)
+    stream_ids = np.arange(len(streams), dtype=np.int64)
+    owner = np.repeat(np.tile(stream_ids, rounds), sizes)
+    pool_addresses = np.concatenate([s[0][:n] for s, n in zip(streams, used)])
+    pool_writes = np.concatenate([s[1][:n] for s, n in zip(streams, used)])
+    return pool_addresses[index], pool_writes[index], owner
+
+
 def interleave_streams(
     rng: np.random.Generator,
     streams: list[StreamPair],
     *,
     chunk: int = 64,
+    limit: int | None = None,
 ) -> StreamPair:
     """Interleave several streams in round-robin chunks.
 
@@ -463,7 +522,8 @@ def interleave_streams(
     order. The longest stream advances *chunk* references per round and
     shorter streams proportionally fewer, so all streams finish together —
     a truncated prefix of the result then preserves each stream's share of
-    the reference mix.
+    the reference mix. *limit* builds only that prefix (see
+    :func:`round_robin`); chunk sizes still come from the full lengths.
     """
     _check_positive(chunk, "chunk")
     if not streams:
@@ -474,31 +534,27 @@ def interleave_streams(
     chunk_sizes = [
         max(1, round(chunk * s[0].size / longest)) for s in streams
     ]
-    cursors = [0] * len(streams)
-    addr_parts: list[np.ndarray] = []
-    write_parts: list[np.ndarray] = []
-    live = set(range(len(streams)))
-    while live:
-        for stream_index in sorted(live):
-            addresses, writes = streams[stream_index]
-            start = cursors[stream_index]
-            stop = min(start + chunk_sizes[stream_index], addresses.size)
-            addr_parts.append(addresses[start:stop])
-            write_parts.append(writes[start:stop])
-            cursors[stream_index] = stop
-            if stop >= addresses.size:
-                live.discard(stream_index)
     del rng  # reserved for future randomized interleaving
-    return np.concatenate(addr_parts), np.concatenate(write_parts)
+    addresses, writes, _ = round_robin(streams, chunk_sizes, limit=limit)
+    return addresses, writes
 
 
-def concat_streams(streams: list[StreamPair]) -> StreamPair:
-    """Concatenate streams back-to-back (program phases in sequence)."""
+def concat_streams(
+    streams: list[StreamPair], *, limit: int | None = None
+) -> StreamPair:
+    """Concatenate streams back-to-back (program phases in sequence).
+
+    *limit* builds only the first *limit* references.
+    """
     if not streams:
         raise WorkloadError("concat_streams needs at least one stream")
+    if limit is not None:
+        _check_positive(limit, "limit")
+        ends = np.cumsum([s[0].size for s in streams])
+        streams = streams[: int(np.searchsorted(ends, limit)) + 1]
     return (
-        np.concatenate([s[0] for s in streams]),
-        np.concatenate([s[1] for s in streams]),
+        np.concatenate([s[0] for s in streams])[:limit],
+        np.concatenate([s[1] for s in streams])[:limit],
     )
 
 

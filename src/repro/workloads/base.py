@@ -67,8 +67,17 @@ class SyntheticWorkload(ABC):
     # -- to be provided by each benchmark model ------------------------------------
 
     @abstractmethod
-    def _build(self, rng: np.random.Generator) -> StreamPair:
-        """Return the full (addresses, is_write) stream at ``self.scale``."""
+    def _build(
+        self, rng: np.random.Generator, limit: int | None = None
+    ) -> StreamPair:
+        """Return the (addresses, is_write) stream at ``self.scale``.
+
+        *limit* says only the stream's first *limit* references are kept.
+        A model passes it to its outermost combinator alone, which then
+        builds just that prefix; inner combinators take their chunk sizes
+        from whole inputs, so they stay unlimited. Returning more than
+        *limit* references is allowed — :meth:`generate` cuts the rest.
+        """
 
     # -- public API -----------------------------------------------------------------
 
@@ -78,8 +87,9 @@ class SyntheticWorkload(ABC):
         Benchmarks and scenario patterns share this one streaming
         surface: anything holding a workload can draw its raw
         ``(addresses, is_write)`` stream from a generator it controls.
-        Deterministic for a given ``(scale, rng state)`` — and exactly
-        what :meth:`generate` consumes, so the two can never diverge.
+        Deterministic for a given ``(scale, rng state)``. :meth:`generate`
+        consumes a prefix of it: ``generate(seed=s, max_refs=n)`` is
+        ``stream(default_rng(s))`` cut to its first *n* references.
         """
         return self._build(rng)
 
@@ -88,18 +98,16 @@ class SyntheticWorkload(ABC):
 
         The trace is deterministic for a given ``(scale, seed)`` pair. When
         *max_refs* is given the trace is truncated to that many references
-        (useful to bound simulation time in tests).
+        (useful to bound simulation time in tests), and only that prefix
+        of the interleaved stream is built.
         """
+        if max_refs is not None and max_refs <= 0:
+            raise WorkloadError(f"max_refs must be positive, got {max_refs}")
         rng = np.random.default_rng(seed)
-        addresses, writes = self.stream(rng)
+        addresses, writes = self._build(rng, max_refs)
         if addresses.size == 0:
             raise WorkloadError(f"workload {self.name} generated an empty trace")
-        if max_refs is not None:
-            if max_refs <= 0:
-                raise WorkloadError(f"max_refs must be positive, got {max_refs}")
-            addresses = addresses[:max_refs]
-            writes = writes[:max_refs]
-        return MemTrace(addresses, writes, name=self.name)
+        return MemTrace(addresses[:max_refs], writes[:max_refs], name=self.name)
 
     def dataset_bytes(self) -> int:
         """Designed data-set footprint at this scale, in bytes.

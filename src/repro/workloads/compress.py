@@ -40,7 +40,9 @@ class Compress(SyntheticWorkload):
     #: scale produces a ~0.8M-reference trace).
     _REFS_PER_SCALE = 3_300_000
 
-    def _build(self, rng: np.random.Generator) -> StreamPair:
+    def _build(
+        self, rng: np.random.Generator, limit: int | None = None
+    ) -> StreamPair:
         total_refs = max(2_000, int(self._REFS_PER_SCALE * self.scale))
         table_words = self._scaled_words(340 * 1024)
         hot_words = self._scaled_words(6 * 1024, minimum=32)
@@ -87,5 +89,8 @@ class Compress(SyntheticWorkload):
             repeats=4,
         )
         return interleave_streams(
-            rng, [cold_probes, hot_probes, input_stream, output_stream], chunk=16
+            rng,
+            [cold_probes, hot_probes, input_stream, output_stream],
+            chunk=16,
+            limit=limit,
         )

@@ -41,7 +41,9 @@ class Dnasa2(SyntheticWorkload):
 
     _REFS_PER_SCALE = 2_400_000
 
-    def _build(self, rng: np.random.Generator) -> StreamPair:
+    def _build(
+        self, rng: np.random.Generator, limit: int | None = None
+    ) -> StreamPair:
         del rng  # fully deterministic workload
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         # Split the scaled footprint between the 2-D FFT working grid
@@ -67,4 +69,4 @@ class Dnasa2(SyntheticWorkload):
         # the paper); repeat the two phases to reach the reference budget.
         refs_per_round = fft_phase[0].size + mxm_phase[0].size
         rounds = max(1, total_refs // refs_per_round)
-        return concat_streams([fft_phase, mxm_phase] * rounds)
+        return concat_streams([fft_phase, mxm_phase] * rounds, limit=limit)

@@ -48,7 +48,9 @@ class Eqntott(SyntheticWorkload):
     #: 16-record insertion sort.
     _RECORD_WORDS = 4
 
-    def _build(self, rng: np.random.Generator) -> StreamPair:
+    def _build(
+        self, rng: np.random.Generator, limit: int | None = None
+    ) -> StreamPair:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         record_words = self._scaled_words(1_200 * 1024)
         output_words = self._scaled_words(100 * 1024)
@@ -108,5 +110,5 @@ class Eqntott(SyntheticWorkload):
             write_fraction=0.12,
         )
         return interleave_streams(
-            rng, [probes, stack, bits, output_writes], chunk=32
+            rng, [probes, stack, bits, output_writes], chunk=32, limit=limit
         )

@@ -38,7 +38,9 @@ class Espresso(SyntheticWorkload):
     #: One cube row: a handful of bit-vector words swept together.
     _ROW_WORDS = 32
 
-    def _build(self, rng: np.random.Generator) -> StreamPair:
+    def _build(
+        self, rng: np.random.Generator, limit: int | None = None
+    ) -> StreamPair:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         cube_words = self._scaled_words(24 * 1024, minimum=4 * self._ROW_WORDS)
         register_words = self._scaled_words(4 * 1024, minimum=64)
@@ -78,7 +80,10 @@ class Espresso(SyntheticWorkload):
             write_fraction=0.15,
         )
         return interleave_streams(
-            rng, [cover_loop, matrix_sweep, register_probes], chunk=64
+            rng,
+            [cover_loop, matrix_sweep, register_probes],
+            chunk=64,
+            limit=limit,
         )
 
 

@@ -30,7 +30,9 @@ class Li(SyntheticWorkload):
 
     _REFS_PER_SCALE = 3_200_000
 
-    def _build(self, rng: np.random.Generator) -> StreamPair:
+    def _build(
+        self, rng: np.random.Generator, limit: int | None = None
+    ) -> StreamPair:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         heap_words = self._scaled_words(0.10 * 1024 * 1024, minimum=256)
         cells = pointer_chain(
@@ -51,7 +53,7 @@ class Li(SyntheticWorkload):
             alpha=1.3,
             write_fraction=0.4,
         )
-        return interleave_streams(rng, [cells, stack], chunk=20)
+        return interleave_streams(rng, [cells, stack], chunk=20, limit=limit)
 
 
 class Perl(SyntheticWorkload):
@@ -62,7 +64,9 @@ class Perl(SyntheticWorkload):
 
     _REFS_PER_SCALE = 3_600_000
 
-    def _build(self, rng: np.random.Generator) -> StreamPair:
+    def _build(
+        self, rng: np.random.Generator, limit: int | None = None
+    ) -> StreamPair:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         heap_words = self._scaled_words(22 * 1024 * 1024)
         heap = zipf_probes(
@@ -77,7 +81,7 @@ class Perl(SyntheticWorkload):
         string_base = (heap_words + 4096) * 4
         passes = max(1, int(total_refs * 0.45) // string_words)
         strings = sweep(string_base, string_words, passes=passes, write_every=5)
-        return interleave_streams(rng, [heap, strings], chunk=28)
+        return interleave_streams(rng, [heap, strings], chunk=28, limit=limit)
 
 
 class Vortex(SyntheticWorkload):
@@ -88,7 +92,9 @@ class Vortex(SyntheticWorkload):
 
     _REFS_PER_SCALE = 3_600_000
 
-    def _build(self, rng: np.random.Generator) -> StreamPair:
+    def _build(
+        self, rng: np.random.Generator, limit: int | None = None
+    ) -> StreamPair:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         db_words = self._scaled_words(16 * 1024 * 1024)
         index_words = self._scaled_words(3 * 1024 * 1024)
@@ -115,4 +121,6 @@ class Vortex(SyntheticWorkload):
         log_base = index_base + (index_words + 4096) * 4
         log_passes = max(1, int(total_refs * 0.15) // log_words)
         log_writes = sweep(log_base, log_words, passes=log_passes, write_every=1)
-        return interleave_streams(rng, [records, index, log_writes], chunk=28)
+        return interleave_streams(
+            rng, [records, index, log_writes], chunk=28, limit=limit
+        )

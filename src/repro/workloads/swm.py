@@ -41,7 +41,10 @@ class Swm(SyntheticWorkload):
     #: cv, z, h, psi) that the timestep loops walk in lockstep.
     _ARRAYS = 13
 
-    def _build(self, rng: np.random.Generator) -> StreamPair:
+    def _build(
+        self, rng: np.random.Generator, limit: int | None = None
+    ) -> StreamPair:
+        del limit  # no combinator: one vectorized tile, cheap to build whole
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         array_words = self._scaled_words(0.93 * 1024 * 1024 / self._ARRAYS)
 

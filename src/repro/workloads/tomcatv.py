@@ -40,7 +40,9 @@ class Tomcatv(SyntheticWorkload):
 
     _REFS_PER_SCALE = 3_800_000
 
-    def _build(self, rng: np.random.Generator) -> StreamPair:
+    def _build(
+        self, rng: np.random.Generator, limit: int | None = None
+    ) -> StreamPair:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         mesh_words = self._scaled_words(1.4 * 1024 * 1024)
         side = max(16, int(math.sqrt(mesh_words)))
@@ -92,5 +94,8 @@ class Tomcatv(SyntheticWorkload):
             error_base, error_words, passes=error_passes, write_every=2
         )
         return interleave_streams(
-            rng, [tridiagonal, relaxation, residuals, errors], chunk=128
+            rng,
+            [tridiagonal, relaxation, residuals, errors],
+            chunk=128,
+            limit=limit,
         )

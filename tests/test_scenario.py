@@ -196,6 +196,16 @@ class TestMixer:
         assert addresses.tolist()[4] == OFFSET_STEP
         assert writes.tolist() == [False] * 4 + [True] * 2
 
+    @pytest.mark.parametrize("weights", [[0], [1, -1]])
+    def test_weights_below_one_rejected(self, weights):
+        # A zero weight would never advance its tenant, and a negative
+        # one would walk it backwards.
+        stream = (np.arange(4, dtype=np.int64) * 4, np.zeros(4, dtype=bool))
+        with pytest.raises(ScenarioError, match="weights"):
+            interleave_weighted(
+                [stream] * len(weights), quantum=2, weights=weights
+            )
+
     def test_mix_deterministic_and_seeded_by_spec(self):
         spec = ScenarioSpec.from_dict(MIX_SPEC)
         a = mix(spec)

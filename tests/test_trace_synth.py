@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
+from repro.mem.interference import _interleave
+from repro.scenario.mixer import OFFSET_STEP, interleave_weighted
 from repro.trace import synth
 from repro.trace.model import MemTrace
 
@@ -199,6 +202,14 @@ class TestCombinators:
         assert addresses.tolist()[:4] == [0, 4, 8, 12]
         assert addresses.tolist()[4:] == [100, 104, 108, 112]
 
+    @pytest.mark.parametrize("limit", [1, 4, 5, 8, 9])
+    def test_concat_limit_is_a_prefix(self, limit):
+        streams = [synth.sweep(0, 4), synth.sweep(100, 4)]
+        addresses, writes = synth.concat_streams(streams, limit=limit)
+        whole = synth.concat_streams(streams)
+        assert addresses.tolist() == whole[0][:limit].tolist()
+        assert writes.tolist() == whole[1][:limit].tolist()
+
     def test_truncate(self):
         pair = synth.truncate(synth.sweep(0, 100), 10)
         assert pair[0].size == 10
@@ -207,6 +218,144 @@ class TestCombinators:
         trace = synth.to_trace(synth.sweep(0, 4), name="x")
         assert isinstance(trace, MemTrace)
         assert trace.name == "x"
+
+
+def reference_round_robin(streams, chunks):
+    """The per-round chunk loop :func:`synth.round_robin` vectorizes —
+    the reference it is checked against."""
+    addr_parts, write_parts, owner_parts = [], [], []
+    cursors = [0] * len(streams)
+    live = set(range(len(streams)))
+    while live:
+        for index in sorted(live):
+            addresses, writes = streams[index]
+            start = cursors[index]
+            stop = min(start + chunks[index], addresses.size)
+            addr_parts.append(addresses[start:stop])
+            write_parts.append(writes[start:stop])
+            owner_parts.append(np.full(stop - start, index, dtype=np.int64))
+            cursors[index] = stop
+            if stop >= addresses.size:
+                live.discard(index)
+    return (
+        np.concatenate(addr_parts),
+        np.concatenate(write_parts),
+        np.concatenate(owner_parts),
+    )
+
+
+@st.composite
+def stream_sets(draw):
+    """1-5 streams of 0-300 word-aligned refs; every (stream, position)
+    has its own address, so any reordering shows."""
+    lengths = draw(st.lists(st.integers(0, 300), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [
+        (
+            (index << 20) + np.arange(length, dtype=np.int64) * 4,
+            rng.random(length) < 0.3,
+        )
+        for index, length in enumerate(lengths)
+    ]
+
+
+def assert_same_arrays(actual, expected):
+    for got, want in zip(actual, expected, strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestRoundRobinKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(streams=stream_sets(), data=st.data())
+    def test_matches_reference_loop(self, streams, data):
+        chunks = data.draw(
+            st.lists(
+                st.integers(1, 100),
+                min_size=len(streams),
+                max_size=len(streams),
+            )
+        )
+        expected = reference_round_robin(streams, chunks)
+        total = expected[0].size
+        limit = data.draw(st.integers(1, total + 5))
+        assert_same_arrays(synth.round_robin(streams, chunks), expected)
+        assert_same_arrays(
+            synth.round_robin(streams, chunks, limit=limit),
+            [array[:limit] for array in expected],
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(streams=stream_sets(), data=st.data())
+    def test_weighted_mixer_matches_reference_loop(self, streams, data):
+        quantum = data.draw(st.integers(1, 20))
+        weights = data.draw(
+            st.lists(
+                st.integers(1, 5),
+                min_size=len(streams),
+                max_size=len(streams),
+            )
+        )
+        addresses, writes, owner = reference_round_robin(
+            streams, [quantum * weight for weight in weights]
+        )
+        limit = data.draw(st.integers(1, addresses.size + 5))
+        expected = (
+            addresses + owner * OFFSET_STEP,
+            writes,
+            owner.astype(np.int16),
+        )
+        assert_same_arrays(
+            interleave_weighted(streams, quantum=quantum, weights=weights),
+            expected,
+        )
+        assert_same_arrays(
+            interleave_weighted(
+                streams, quantum=quantum, weights=weights, limit=limit
+            ),
+            [array[:limit] for array in expected],
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(streams=stream_sets(), quantum=st.integers(1, 100))
+    def test_interference_interleave_matches_reference_loop(
+        self, streams, quantum
+    ):
+        addresses, writes, owner = reference_round_robin(
+            streams, [quantum] * len(streams)
+        )
+        shared = _interleave([MemTrace(*pair) for pair in streams], quantum)
+        assert_same_arrays(
+            (shared.addresses, shared.is_write),
+            (addresses + owner * (1 << 30), writes),
+        )
+
+    def test_limit_stops_inside_a_chunk(self):
+        head = (np.arange(10, dtype=np.int64) * 4, np.zeros(10, dtype=bool))
+        tail = (np.arange(1000, dtype=np.int64) * 4, np.ones(1000, dtype=bool))
+        addresses, writes, owner = synth.round_robin(
+            [head, tail], [5, 100], limit=7
+        )
+        assert addresses.tolist() == [0, 4, 8, 12, 16, 0, 4]
+        assert owner.tolist() == [0] * 5 + [1] * 2
+        assert writes.tolist() == [False] * 5 + [True] * 2
+
+    @pytest.mark.parametrize(
+        "chunks, match", [([0], "positive"), ([1, 2], "chunk sizes")]
+    )
+    def test_bad_chunks_rejected(self, chunks, match):
+        with pytest.raises(WorkloadError, match=match):
+            synth.round_robin([synth.sweep(0, 4)], chunks)
+
+    def test_non_positive_limit_rejected(self):
+        with pytest.raises(WorkloadError, match="limit"):
+            synth.round_robin([synth.sweep(0, 4)], [2], limit=0)
+
+    def test_all_empty_streams_give_empty_arrays(self):
+        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
+        addresses, writes, owner = synth.round_robin([empty, empty], [3, 4])
+        assert addresses.size == writes.size == owner.size == 0
+        assert addresses.dtype == np.int64 and writes.dtype == bool
 
 
 class TestDeterminism:
