@@ -36,9 +36,8 @@ consistent-hash ring spread the distinct requests across shards.
 
 The summary prints to stdout and is written to ``BENCH_serve.json`` —
 the committed baseline tracked by ``benchmarks/test_bench_serve.py`` and
-re-checked by ``scripts/check_bench.py``. Percentiles use the
-interpolated estimator shared with the metrics registry's histogram
-snapshots (:func:`repro.obs.hist.percentile_interpolated`).
+re-checked by ``scripts/check_bench.py``. Percentiles are exact over
+the held samples (:func:`repro.obs.hist.percentile_interpolated`).
 """
 
 from __future__ import annotations

@@ -92,6 +92,7 @@ across the tree).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import os
@@ -545,12 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--job-history",
         type=positive_int,
-        default=None,
+        default=4096,
         metavar="N",
         help=(
-            "retain at most N terminal job records in memory (evicted "
-            "results are recovered from the cache on resubmission; "
-            "default: unbounded)"
+            "retain at most N terminal job records in memory per worker "
+            "(evicted results are recovered from the cache on "
+            "resubmission; default: 4096)"
         ),
     )
     serve.add_argument(
@@ -1316,24 +1317,25 @@ def _cmd_stats(args, out) -> None:
     print(f"median reuse dist.:  {stats.median_reuse_distance:g} words", file=out)
 
 
-def _configure_observability(args) -> bool:
-    """Enable the instrumentation layer when any obs flag was given.
+def _observability(args):
+    """Context manager enabling the instrumentation layer for one command.
 
-    Returns True when observability was turned on (the caller must
-    disable it again so the process-wide facade returns to its
-    zero-overhead default). With no flags the facade is never touched —
-    command output stays byte-identical to an uninstrumented build.
+    With neither ``--verbose`` nor ``--trace-events`` the facade is never
+    touched — command output stays byte-identical to an uninstrumented
+    build. Otherwise the command runs under
+    :func:`repro.obs.instrumented`, which closes the event sinks on every
+    exit path, errors included.
 
     ``serve`` is excluded: the server owns the process-wide facade for
     its whole lifetime (its /metrics endpoint *is* the registry), so it
-    activates — and restores — observability itself.
+    enters :func:`~repro.obs.instrumented` itself.
     """
     if getattr(args, "command", None) == "serve":
-        return False
+        return contextlib.nullcontext()
     verbose = getattr(args, "verbose", False)
     trace_path = getattr(args, "trace_events", None)
     if not verbose and not trace_path:
-        return False
+        return contextlib.nullcontext()
     from repro import obs
 
     sinks: list[obs.EventSink] = []
@@ -1346,8 +1348,9 @@ def _configure_observability(args) -> bool:
             ) from exc
     if verbose:
         sinks.append(obs.StderrSink())
-    obs.configure(sink=sinks[0] if len(sinks) == 1 else obs.MultiSink(sinks))
-    return True
+    return obs.instrumented(
+        sink=sinks[0] if len(sinks) == 1 else obs.MultiSink(sinks)
+    )
 
 
 def _configure_tracing(args) -> bool:
@@ -1385,8 +1388,6 @@ def _engine_context(args):
     engine = getattr(args, "engine", None)
     if engine is None or getattr(args, "command", None) == "submit":
         # submit's --engine is a request field the *server* applies.
-        import contextlib
-
         return contextlib.nullcontext()
     from repro.mem.engines import use_engine
 
@@ -1406,8 +1407,6 @@ def _sampling_context(args):
     if (rate is None and seed is None) or getattr(
         args, "command", None
     ) == "submit":
-        import contextlib
-
         return contextlib.nullcontext()
     from repro.mem.sampled import (
         DEFAULT_SAMPLE_RATE,
@@ -1451,24 +1450,24 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    observing = False
     tracing = False
     injecting = False
     try:
-        observing = _configure_observability(args)
-        tracing = _configure_tracing(args)
-        injecting = _configure_fault_injection(args)
-        with _engine_context(args), _sampling_context(args):
-            if tracing:
-                # One root span per invocation so local traces form a
-                # single tree, mirroring serve.request on the server.
-                from repro.obs import TRACER
+        with _observability(args):
+            tracing = _configure_tracing(args)
+            injecting = _configure_fault_injection(args)
+            with _engine_context(args), _sampling_context(args):
+                if tracing:
+                    # One root span per invocation so local traces form
+                    # a single tree, mirroring serve.request on the
+                    # server.
+                    from repro.obs import TRACER
 
-                with TRACER.span(
-                    f"cli.{args.command}", command=args.command
-                ):
-                    return _dispatch(args, out)
-            return _dispatch(args, out)
+                    with TRACER.span(
+                        f"cli.{args.command}", command=args.command
+                    ):
+                        return _dispatch(args, out)
+                return _dispatch(args, out)
     except RunInterrupted as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
         return 130
@@ -1493,10 +1492,6 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             from repro.obs import disable_tracing
 
             disable_tracing()
-        if observing:
-            from repro import obs
-
-            obs.disable()
 
 
 def _dispatch(args, out) -> int:

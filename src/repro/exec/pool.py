@@ -507,7 +507,10 @@ def run_tasks(
             value = cache.get(task.key)
             hit = value is not MISS
             if observed:
-                OBS.hist("exec.cache.lookup.time", time.time() - lookup_start)
+                OBS.observe(
+                    "exec.cache.lookup.time",
+                    max(0.0, time.time() - lookup_start),
+                )
             if tracing:
                 TRACER.emit_span(
                     "exec.cache.lookup",

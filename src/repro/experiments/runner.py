@@ -215,67 +215,66 @@ def _evaluate_serial(
     observed = OBS.enabled
     row_capable = hasattr(measure, "measure_row")
     rows: list[list[object | None]] = []
-    with OBS.span("sweep", title=title):
-        for workload, plan in zip(workloads, plans):
-            row: list[object | None] = [None] * len(size_list)
-            if row_capable and plan:
-                simulated_sizes = [simulated for _, _, simulated in plan]
-                start = time.perf_counter()
-                if TRACER.enabled:
-                    with TRACER.span(
-                        "sweep.row",
-                        workload=workload.name,
-                        sizes=len(simulated_sizes),
-                    ):
-                        values = _row_values(measure, workload, simulated_sizes)
-                else:
-                    values = _row_values(measure, workload, simulated_sizes)
-                elapsed = time.perf_counter() - start
-                for (column, paper_size, simulated), value in zip(plan, values):
-                    row[column] = value
-                    if observed:
-                        OBS.count("sweep.cells")
-                        OBS.emit(
-                            "sweep.cell",
-                            title=title,
-                            workload=workload.name,
-                            paper_size=paper_size,
-                            simulated_size=simulated,
-                            value=value,
-                        )
-                if observed:
-                    OBS.observe("sweep.row", elapsed)
-                rows.append(row)
-                continue
-            for column, paper_size, simulated in plan:
-                if not (observed or TRACER.enabled):
-                    row[column] = measure(workload, simulated)
-                    continue
-                start = time.perf_counter()
-                if TRACER.enabled:
-                    with TRACER.span(
-                        "sweep.cell",
-                        workload=workload.name,
-                        simulated_size=simulated,
-                    ):
-                        value = measure(workload, simulated)
-                else:
-                    value = measure(workload, simulated)
-                if not observed:
-                    row[column] = value
-                    continue
-                OBS.observe("sweep.measure", time.perf_counter() - start)
-                OBS.count("sweep.cells")
-                OBS.emit(
-                    "sweep.cell",
-                    title=title,
+    for workload, plan in zip(workloads, plans):
+        row: list[object | None] = [None] * len(size_list)
+        if row_capable and plan:
+            simulated_sizes = [simulated for _, _, simulated in plan]
+            start = time.perf_counter()
+            if TRACER.enabled:
+                with TRACER.span(
+                    "sweep.row",
                     workload=workload.name,
-                    paper_size=paper_size,
-                    simulated_size=simulated,
-                    value=value,
-                )
+                    sizes=len(simulated_sizes),
+                ):
+                    values = _row_values(measure, workload, simulated_sizes)
+            else:
+                values = _row_values(measure, workload, simulated_sizes)
+            elapsed = time.perf_counter() - start
+            for (column, paper_size, simulated), value in zip(plan, values):
                 row[column] = value
+                if observed:
+                    OBS.count("sweep.cells")
+                    OBS.emit(
+                        "sweep.cell",
+                        title=title,
+                        workload=workload.name,
+                        paper_size=paper_size,
+                        simulated_size=simulated,
+                        value=value,
+                    )
+            if observed:
+                OBS.observe("sweep.row", elapsed)
             rows.append(row)
+            continue
+        for column, paper_size, simulated in plan:
+            if not (observed or TRACER.enabled):
+                row[column] = measure(workload, simulated)
+                continue
+            start = time.perf_counter()
+            if TRACER.enabled:
+                with TRACER.span(
+                    "sweep.cell",
+                    workload=workload.name,
+                    simulated_size=simulated,
+                ):
+                    value = measure(workload, simulated)
+            else:
+                value = measure(workload, simulated)
+            if not observed:
+                row[column] = value
+                continue
+            OBS.observe("sweep.measure", time.perf_counter() - start)
+            OBS.count("sweep.cells")
+            OBS.emit(
+                "sweep.cell",
+                title=title,
+                workload=workload.name,
+                paper_size=paper_size,
+                simulated_size=simulated,
+                value=value,
+            )
+            row[column] = value
+        rows.append(row)
     return rows
 
 
@@ -362,28 +361,27 @@ def evaluate_grid(
 
     observed = OBS.enabled
     rows: list[list[object | None]] = []
-    with OBS.span("sweep", title=title):
-        for workload, plan, outcome in zip(workloads, plans, outcomes):
-            row: list[object | None] = [None] * len(size_list)
-            for (column, paper_size, simulated), value, seconds in zip(
-                plan, outcome["values"], outcome["seconds"]
-            ):
-                if observed:
-                    if seconds is not None:
-                        OBS.observe("sweep.measure", seconds)
-                    OBS.count("sweep.cells")
-                    OBS.emit(
-                        "sweep.cell",
-                        title=title,
-                        workload=workload.name,
-                        paper_size=paper_size,
-                        simulated_size=simulated,
-                        value=value,
-                    )
-                row[column] = value
-            if observed and outcome.get("row_seconds") is not None:
-                OBS.observe("sweep.row", outcome["row_seconds"])
-            rows.append(row)
+    for workload, plan, outcome in zip(workloads, plans, outcomes):
+        row: list[object | None] = [None] * len(size_list)
+        for (column, paper_size, simulated), value, seconds in zip(
+            plan, outcome["values"], outcome["seconds"]
+        ):
+            if observed:
+                if seconds is not None:
+                    OBS.observe("sweep.measure", seconds)
+                OBS.count("sweep.cells")
+                OBS.emit(
+                    "sweep.cell",
+                    title=title,
+                    workload=workload.name,
+                    paper_size=paper_size,
+                    simulated_size=simulated,
+                    value=value,
+                )
+            row[column] = value
+        if observed and outcome.get("row_seconds") is not None:
+            OBS.observe("sweep.row", outcome["row_seconds"])
+        rows.append(row)
     return size_list, rows
 
 

@@ -529,7 +529,9 @@ class Cache:
                 access(address, write)
             if timed:
                 if OBS.enabled:
-                    OBS.hist("sim.chunk.time", time.time() - chunk_started)
+                    OBS.observe(
+                        "sim.chunk.time", max(0.0, time.time() - chunk_started)
+                    )
                 if TRACER.enabled:
                     TRACER.emit_span(
                         "sim.chunk",
@@ -564,7 +566,9 @@ class Cache:
         if not OBS.enabled:
             return
         if started is not None:
-            OBS.hist(f"sim.cache.{engine}.time", time.time() - started)
+            OBS.observe(
+                f"sim.cache.{engine}.time", max(0.0, time.time() - started)
+            )
         stats = self.stats
         OBS.count("cache.simulations")
         OBS.count("cache.accesses", stats.accesses)

@@ -472,7 +472,9 @@ def _record_family(
     if not OBS.enabled:
         return
     if started is not None:
-        OBS.hist(f"engine.family.{kind}.time", time.time() - started)
+        OBS.observe(
+            f"engine.family.{kind}.time", max(0.0, time.time() - started)
+        )
     OBS.count("cache.simulations", len(results))
     total = 0
     for stats in results.values():

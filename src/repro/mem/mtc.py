@@ -271,7 +271,9 @@ class MinimalTrafficCache:
         if not OBS.enabled:
             return
         if started is not None:
-            OBS.hist(f"sim.mtc.{engine}.time", time.time() - started)
+            OBS.observe(
+                f"sim.mtc.{engine}.time", max(0.0, time.time() - started)
+            )
         stats = self.stats
         OBS.count("mtc.simulations")
         OBS.count("mtc.accesses", stats.accesses)

@@ -2,11 +2,11 @@
 
 The layer has five pieces:
 
-* :mod:`repro.obs.registry` — aggregate metrics (counters, gauges, timers
-  with percentile summaries, fixed-bucket latency histograms);
-* :mod:`repro.obs.hist` — the histogram type and interpolated-percentile
-  helper shared by timers, benches, and span analysis;
-* :mod:`repro.obs.events` — structured event sinks (JSONL spans/events,
+* :mod:`repro.obs.registry` — aggregate metrics: counters, gauges and
+  bounded timers;
+* :mod:`repro.obs.hist` — the fixed-bucket histogram every timer is,
+  and an exact interpolated percentile for raw sample lists;
+* :mod:`repro.obs.events` — structured event sinks (JSONL events,
   stderr structured logging, a no-op default);
 * :mod:`repro.obs.spans` — request-scoped tracing (:data:`TRACER`):
   trace/span ids propagated serve → scheduler → pool worker → engine,
@@ -24,9 +24,11 @@ Hot simulator code talks to one process-wide facade, :data:`OBS`::
 
 ``OBS`` starts *disabled*: ``OBS.enabled`` is a plain attribute, so the
 disabled cost of a hook is one attribute load and a branch — bounded and
-far below the 5% wall-clock budget. The facade is injectable for tests
-and embedders: :func:`configure` swaps in a fresh registry/sink (or build
-an independent :class:`Instrumentation` and pass it around explicitly).
+far below the 5% wall-clock budget. :func:`instrumented` is the one way
+to turn it on: a context manager that installs a fresh registry (and
+optionally a sink) for a block and restores the previous state on exit.
+Tests and embedders may also build an independent
+:class:`Instrumentation` and pass it around explicitly.
 
 Determinism contract: every field of every emitted event, and every
 counter/gauge value, is a pure function of the simulated inputs (seed,
@@ -52,7 +54,7 @@ from repro.obs.hist import (
     Histogram,
     percentile_interpolated,
 )
-from repro.obs.registry import Counter, Gauge, MetricsRegistry, Timer, percentile
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
 from repro.obs.spans import (
     SPAN_SCHEMA,
     TRACER,
@@ -67,10 +69,8 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Timer",
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
-    "percentile",
     "percentile_interpolated",
     "EventSink",
     "NullSink",
@@ -81,8 +81,6 @@ __all__ = [
     "TRACER",
     "SpanTracer",
     "SPAN_SCHEMA",
-    "configure",
-    "disable",
     "instrumented",
     "configure_tracing",
     "disable_tracing",
@@ -122,17 +120,9 @@ class Instrumentation:
             self.registry.gauge(name).set(value)
 
     def observe(self, name: str, seconds: float) -> None:
+        """Record *seconds* into the bounded timer *name*."""
         if self.enabled:
             self.registry.timer(name).observe(seconds)
-
-    def hist(self, name: str, seconds: float) -> None:
-        """Record *seconds* into the fixed-bucket histogram *name*.
-
-        Prefer this over :meth:`observe` for long-lived processes (the
-        server): memory stays O(buckets) however many samples arrive.
-        """
-        if self.enabled:
-            self.registry.histogram(name).observe(seconds)
 
     # -- events ------------------------------------------------------------------
 
@@ -145,66 +135,14 @@ class Instrumentation:
         event.update(fields)
         self.sink.emit(event)
 
-    @contextmanager
-    def span(self, name: str, **fields: object) -> Iterator[None]:
-        """A begin/end event pair around a code region.
-
-        The pair carries no durations (events must stay deterministic);
-        wall time for the same region belongs in a registry timer.
-        """
-        self.emit(f"{name}.begin", **fields)
-        try:
-            yield
-        finally:
-            self.emit(f"{name}.end", **fields)
-
-    # -- lifecycle -----------------------------------------------------------------
-
-    def activate(
-        self,
-        *,
-        registry: MetricsRegistry | None = None,
-        sink: EventSink | None = None,
-    ) -> None:
-        """Enable with a fresh (or given) registry and sink; resets seq."""
-        self.registry = registry if registry is not None else MetricsRegistry()
-        if sink is not None:
-            self.sink.close()
-            self.sink = sink
-        self.enabled = True
-        self._seq = 0
-
-    def deactivate(self) -> None:
-        """Return to the zero-overhead default state (fresh registry)."""
-        self.sink.close()
-        self.sink = NullSink()
-        self.registry = MetricsRegistry()
-        self.enabled = False
-        self._seq = 0
-
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"
         return f"<Instrumentation {state} sink={type(self.sink).__name__}>"
 
 
 #: The process-wide facade every simulator layer imports. Disabled by
-#: default; the CLI (and the profiler) turn it on for one run at a time.
+#: default; :func:`instrumented` turns it on for one block at a time.
 OBS = Instrumentation()
-
-
-def configure(
-    *,
-    registry: MetricsRegistry | None = None,
-    sink: EventSink | None = None,
-) -> Instrumentation:
-    """Enable :data:`OBS` (fresh registry unless one is given) and return it."""
-    OBS.activate(registry=registry, sink=sink)
-    return OBS
-
-
-def disable() -> None:
-    """Disable :data:`OBS` and detach its sink."""
-    OBS.deactivate()
 
 
 @contextmanager
@@ -213,18 +151,25 @@ def instrumented(
     registry: MetricsRegistry | None = None,
     sink: EventSink | None = None,
 ) -> Iterator[Instrumentation]:
-    """Context manager: enable :data:`OBS` for a block, then restore.
+    """Enable :data:`OBS` for a block, then restore its previous state.
 
-    The previous registry/sink/enabled state is restored on exit, so
-    nesting and test isolation both work.
+    The block gets *registry* (a fresh one by default). A given *sink*
+    replaces the current one for the block and is closed on exit;
+    without one, the sink already attached keeps receiving events. The
+    previous registry, sink, enabled flag and sequence number come back
+    untouched on exit, so blocks nest and tests stay isolated.
     """
     prev_registry, prev_sink = OBS.registry, OBS.sink
     prev_enabled, prev_seq = OBS.enabled, OBS._seq
-    OBS.activate(registry=registry, sink=sink)
+    OBS.registry = registry if registry is not None else MetricsRegistry()
+    if sink is not None:
+        OBS.sink = sink
+    OBS.enabled = True
+    OBS._seq = 0
     try:
         yield OBS
     finally:
-        if OBS.sink is not prev_sink:
-            OBS.sink.close()
+        if sink is not None and sink is not prev_sink:
+            sink.close()
         OBS.registry, OBS.sink = prev_registry, prev_sink
         OBS.enabled, OBS._seq = prev_enabled, prev_seq

@@ -1,4 +1,4 @@
-"""Structured event-trace sinks: JSONL spans/events for simulation runs.
+"""Structured event-trace sinks: JSONL events for simulation runs.
 
 An *event* is one flat JSON object::
 
@@ -9,7 +9,7 @@ An *event* is one flat JSON object::
 streams must be byte-identical across two runs with the same seed, so no
 sink field may depend on timing. Kinds are dotted lowercase paths
 (``cache.simulate``, ``bus.transfer``, ``mshr.stall``, ``core.run``,
-``stage.begin``/``stage.end``); see docs/observability.md for the schema.
+``sweep.cell``); see docs/observability.md for the schema.
 
 Sinks:
 

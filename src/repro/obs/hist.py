@@ -1,26 +1,25 @@
-"""Fixed-bucket latency histograms with interpolated percentile snapshots.
+"""Fixed-bucket duration histograms: the registry's one timer kind.
 
 Two related pieces live here:
 
+* :class:`Histogram` — a fixed-bucket duration histogram. Every
+  registry timer is one (:meth:`repro.obs.registry.MetricsRegistry.timer`),
+  so a duration costs O(1) per observation and O(buckets) in memory no
+  matter how many samples arrive — one experiment's stage timers and a
+  server's per-batch timers that never restart are recorded the same
+  way. ``count`` and ``total`` are exact; snapshots estimate p50/p95/p99
+  by linear interpolation *within* the owning bucket, clamped to the
+  observed min/max so a sparsely-filled histogram never invents values
+  outside the data.
 * :func:`percentile_interpolated` — the *exact* linearly-interpolated
-  percentile of a raw sample list. This replaces nearest-rank percentiles
-  everywhere a full sample set is held (``Timer.summary``,
-  ``scripts/load_serve.py``): with small sample counts nearest-rank p99
-  degenerates to the max, which made ``BENCH_serve.json`` report
-  ``p99 == max`` for a 40-sample run.
-* :class:`Histogram` — a fixed-bucket duration histogram for metrics that
-  must stay O(1) per observation and O(buckets) in memory no matter how
-  many samples arrive (queue waits and service times on a server that
-  never restarts). Snapshots estimate p50/p95/p99 by linear interpolation
-  *within* the owning bucket, clamped to the observed min/max so a
-  sparsely-filled histogram never invents values outside the data.
+  percentile of a raw sample list, for callers that hold every sample
+  themselves (``scripts/load_serve.py``). With small sample counts
+  nearest-rank p99 degenerates to the max, which made
+  ``BENCH_serve.json`` report ``p99 == max`` for a 40-sample run.
 
 Buckets are latency-shaped by default: a 1-2-5 decade series from 10 µs
 to 100 s (:data:`DEFAULT_LATENCY_BUCKETS`), with an implicit +inf
-overflow bucket. Both pieces are deliberately dependency-free — the
-registry (:mod:`repro.obs.registry`) embeds :class:`Histogram` as its
-fourth instrument kind, and the span tooling reuses the percentile
-helper for its self-time summaries.
+overflow bucket. Both pieces are deliberately dependency-free.
 """
 
 from __future__ import annotations
@@ -87,12 +86,13 @@ def percentile_interpolated(samples: Iterable[float], q: float) -> float:
 
 
 class Histogram:
-    """A fixed-bucket duration histogram (seconds).
+    """A fixed-bucket duration histogram (seconds); the timer kind.
 
     Observations are O(1) (a bisect into the bound list); memory is
     O(buckets) forever. ``observe`` is thread-safe — the serve layer
     records queue waits from the scheduler thread while ``/metrics``
-    scrapes from the event loop.
+    scrapes from the event loop. Negative and non-finite durations are
+    rejected: callers that difference wall-clock stamps clamp at zero.
     """
 
     __slots__ = (

@@ -8,10 +8,10 @@ and written as machine-readable JSON (``BENCH_profile.json``) by
 trajectory: each committed baseline lets a later PR prove a hot path got
 faster (or catch that it got slower).
 
-Schema ``repro.profile/v2``::
+Schema ``repro.profile/v3``::
 
     {
-      "schema": "repro.profile/v2",
+      "schema": "repro.profile/v3",
       "experiment": "table2",
       "max_refs": 5000,
       "engine": "auto",              # resolved engine selection
@@ -22,18 +22,18 @@ Schema ``repro.profile/v2``::
       "references": 123456,          # word refs simulated (cache + MTC)
       "refs_per_second": 101234.5,   # references / run-stage seconds
       "counters": {...},             # deterministic under a fixed seed
-      "timers": {...},               # percentile summaries, wall clock
+      "timers": {...},               # bounded timer snapshots, wall clock
       "gauges": {...},               # e.g. exec.jobs for parallel runs
-      "histograms": {...},           # fixed-bucket latency snapshots
       "python": "3.12.3"
     }
 
-v2 over v1: the ``timers`` table is now guaranteed non-empty — each
-profiled stage records a ``profile.stage.<name>`` registry timer (v1
-only ever saw timers from the pool path, so serial profiles wrote an
-empty ``{}``); timer summaries gained an interpolated ``p95_s``; and
-``histograms`` carries the fixed-bucket latency snapshots the
-instrumented engines record (``sim.cache.<engine>.time`` etc.).
+v3 over v2: every duration is one bounded timer kind, so ``timers``
+holds each timer's fixed-bucket snapshot (``count``, ``total_s``,
+``mean_s``, ``min_s``, ``max_s``, ``p50_s``, ``p95_s``, ``p99_s``) and
+the separate ``histograms`` table is gone. ``count`` and ``total_s``
+stay exact; the percentiles are estimated within a bucket. Each
+profiled stage records a ``profile.stage.<name>`` timer, so ``timers``
+is never empty (the v2 guarantee).
 
 Profiled runs never use the execution layer's result cache — a profile
 must measure real simulation work, not disk reads — but they do honour
@@ -64,7 +64,7 @@ __all__ = [
     "write_profile",
 ]
 
-PROFILE_SCHEMA = "repro.profile/v2"
+PROFILE_SCHEMA = "repro.profile/v3"
 
 #: Counters summed into the profile's simulated-reference throughput.
 _REFERENCE_COUNTERS = ("cache.accesses", "mtc.accesses")
@@ -99,7 +99,6 @@ class RunProfile:
     counters: dict[str, int]
     timers: dict[str, dict[str, float]] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
-    histograms: dict[str, dict[str, float]] = field(default_factory=dict)
     engine: str = "auto"
 
     @property
@@ -139,7 +138,6 @@ class RunProfile:
             "counters": self.counters,
             "timers": self.timers,
             "gauges": self.gauges,
-            "histograms": self.histograms,
             "python": platform.python_version(),
         }
 
@@ -182,21 +180,20 @@ def profile_experiment(
         return sum(counters.get(key, 0) for key in _REFERENCE_COUNTERS)
 
     def staged(stage_name: str, fn):
-        with OBS.span("stage", stage=stage_name):
-            start = time.perf_counter()
-            before = simulated_references()
-            result = fn()
-            seconds = time.perf_counter() - start
-            # The same duration also lands in a registry timer so the
-            # machine-readable profile's "timers" table is never empty.
-            OBS.observe(f"profile.stage.{stage_name}", seconds)
-            stages.append(
-                StageTiming(
-                    stage_name,
-                    seconds,
-                    references=simulated_references() - before,
-                )
+        start = time.perf_counter()
+        before = simulated_references()
+        result = fn()
+        seconds = time.perf_counter() - start
+        # The same duration also lands in a registry timer so the
+        # machine-readable profile's "timers" table is never empty.
+        OBS.observe(f"profile.stage.{stage_name}", seconds)
+        stages.append(
+            StageTiming(
+                stage_name,
+                seconds,
+                references=simulated_references() - before,
             )
+        )
         return result
 
     with instrumented(sink=sink), execution(jobs=jobs):
@@ -220,7 +217,6 @@ def profile_experiment(
         counters=snapshot["counters"],
         timers=snapshot["timers"],
         gauges=snapshot["gauges"],
-        histograms=snapshot["histograms"],
         engine=engines.resolve_engine(),
     )
     return profile, rendered

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, timers, and latency histograms.
+"""Metrics registry: counters, gauges and bounded timers.
 
 The registry is the *aggregate* half of the observability layer (the
 per-event half lives in :mod:`repro.obs.events`). Simulators increment
@@ -8,18 +8,19 @@ counter and gauge values are deterministic; timer *durations* are wall
 clock and therefore excluded from determinism guarantees (only their
 sample counts are deterministic).
 
-Four instrument kinds share one namespace:
+Three instrument kinds share one namespace:
 
 * :class:`Counter` — monotonically increasing integers;
 * :class:`Gauge` — last-value-wins floats;
-* :class:`Timer` — keeps every sample, summarised with exact
-  interpolated percentiles (suits bounded runs like one experiment);
-* :class:`~repro.obs.hist.Histogram` — fixed buckets, O(1) per
-  observation forever (suits a server that never restarts: queue waits,
-  service times, per-engine-stage durations).
+* timers — a :class:`~repro.obs.hist.Histogram` of durations: fixed
+  buckets, O(1) per observation and O(buckets) memory however many
+  samples arrive, so a server that never restarts records its queue
+  waits and batch times the same way one experiment records its stages.
+  ``count`` and ``total_s`` are exact; percentiles are estimated within
+  a bucket.
 
 The registry is thread-safe for the serve layer's access pattern: the
-scheduler thread updates counters and histograms while the asyncio event
+scheduler thread updates counters and timers while the asyncio event
 loop renders ``/metrics`` (:meth:`MetricsRegistry.exposition`) and
 ``/healthz`` concurrently.
 
@@ -31,40 +32,17 @@ Instrument names are created on first use; reading an absent metric via
 
 from __future__ import annotations
 
-import math
 import threading
-import time
-from collections.abc import Iterable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs.hist import Histogram, percentile_interpolated
+from repro.obs.hist import Histogram
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Timer",
     "Histogram",
     "MetricsRegistry",
-    "percentile",
-    "percentile_interpolated",
 ]
-
-
-def percentile(samples: Iterable[float], q: float) -> float:
-    """Nearest-rank percentile of *samples* (q in [0, 100]).
-
-    >>> percentile([1.0, 2.0, 3.0, 4.0], 50)
-    2.0
-    """
-    items = sorted(samples)
-    if not items:
-        raise ConfigurationError("percentile of no samples")
-    if not 0.0 <= q <= 100.0:
-        raise ConfigurationError(f"percentile q must be in [0, 100], got {q}")
-    if q == 0.0:
-        return items[0]
-    rank = math.ceil(q / 100.0 * len(items))
-    return items[rank - 1]
 
 
 class Counter:
@@ -106,79 +84,8 @@ class Gauge:
         return f"<Gauge {self.name}={self.value}>"
 
 
-class Timer:
-    """A duration histogram summarised by count/total/percentiles.
-
-    Samples are seconds. Use :meth:`observe` with a measured duration or
-    the :meth:`time` context manager around the timed section.
-    """
-
-    __slots__ = ("name", "samples")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.samples: list[float] = []
-
-    def observe(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ConfigurationError(
-                f"timer {self.name} observed negative duration {seconds}"
-            )
-        self.samples.append(seconds)
-
-    def time(self) -> "_TimerContext":
-        return _TimerContext(self)
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.samples)
-
-    def summary(self) -> dict[str, float]:
-        """count/total/mean/p50/p90/p95/p99/max of the observed samples.
-
-        Percentiles are linearly interpolated
-        (:func:`~repro.obs.hist.percentile_interpolated`): nearest-rank
-        p99 collapses onto the max for small sample counts, which made
-        bench reports claim ``p99 == max`` on 40-sample runs.
-        """
-        if not self.samples:
-            return {"count": 0, "total_s": 0.0}
-        return {
-            "count": self.count,
-            "total_s": self.total_seconds,
-            "mean_s": self.total_seconds / self.count,
-            "p50_s": percentile_interpolated(self.samples, 50),
-            "p90_s": percentile_interpolated(self.samples, 90),
-            "p95_s": percentile_interpolated(self.samples, 95),
-            "p99_s": percentile_interpolated(self.samples, 99),
-            "max_s": max(self.samples),
-        }
-
-    def __repr__(self) -> str:
-        return f"<Timer {self.name} n={self.count} total={self.total_seconds:.4f}s>"
-
-
-class _TimerContext:
-    __slots__ = ("_timer", "_start")
-
-    def __init__(self, timer: Timer) -> None:
-        self._timer = timer
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._timer.observe(time.perf_counter() - self._start)
-
-
 class MetricsRegistry:
-    """Create-on-first-use store of counters, gauges, timers, histograms.
+    """Create-on-first-use store of counters, gauges and timers.
 
     Registries are cheap; the profiler builds a fresh one per run so that
     snapshots describe exactly one experiment. A name may hold only one
@@ -190,101 +97,61 @@ class MetricsRegistry:
     instrument guards its own state where needed).
     """
 
-    __slots__ = ("_counters", "_gauges", "_timers", "_histograms", "_lock")
+    __slots__ = ("_counters", "_gauges", "_timers", "_lock")
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._timers: dict[str, Timer] = {}
-        self._histograms: dict[str, Histogram] = {}
+        self._timers: dict[str, Histogram] = {}
         self._lock = threading.Lock()
 
     def counter(self, name: str) -> Counter:
         found = self._counters.get(name)
         if found is None:
-            with self._lock:
-                found = self._counters.get(name)
-                if found is None:
-                    self._check_free(
-                        name, self._gauges, self._timers, self._histograms
-                    )
-                    found = self._counters[name] = Counter(name)
+            found = self._create(self._counters, name, Counter)
         return found
 
     def gauge(self, name: str) -> Gauge:
         found = self._gauges.get(name)
         if found is None:
-            with self._lock:
-                found = self._gauges.get(name)
-                if found is None:
-                    self._check_free(
-                        name, self._counters, self._timers, self._histograms
-                    )
-                    found = self._gauges[name] = Gauge(name)
+            found = self._create(self._gauges, name, Gauge)
         return found
 
-    def timer(self, name: str) -> Timer:
+    def timer(self, name: str) -> Histogram:
+        """The bounded duration histogram *name*, created on first use."""
         found = self._timers.get(name)
         if found is None:
-            with self._lock:
-                found = self._timers.get(name)
-                if found is None:
-                    self._check_free(
-                        name, self._counters, self._gauges, self._histograms
-                    )
-                    found = self._timers[name] = Timer(name)
+            found = self._create(self._timers, name, Histogram)
         return found
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] | None = None
-    ) -> Histogram:
-        """The fixed-bucket histogram *name*, created on first use."""
-        found = self._histograms.get(name)
-        if found is None:
-            with self._lock:
-                found = self._histograms.get(name)
-                if found is None:
-                    self._check_free(
-                        name, self._counters, self._gauges, self._timers
-                    )
-                    found = self._histograms[name] = Histogram(name, bounds)
-        return found
-
-    @staticmethod
-    def _check_free(name: str, *tables: dict[str, object]) -> None:
-        for table in tables:
-            if name in table:
-                raise ConfigurationError(
-                    f"metric {name!r} already registered with a different kind"
-                )
+    def _create(self, table: dict, name: str, kind: type):
+        """Slow path of the getters: create *name* in *table* once."""
+        with self._lock:
+            found = table.get(name)
+            if found is None:
+                for other in (self._counters, self._gauges, self._timers):
+                    if other is not table and name in other:
+                        raise ConfigurationError(
+                            f"metric {name!r} already registered with a "
+                            "different kind"
+                        )
+                found = table[name] = kind(name)
+            return found
 
     def _tables(
         self,
-    ) -> tuple[
-        dict[str, Counter],
-        dict[str, Gauge],
-        dict[str, Timer],
-        dict[str, Histogram],
-    ]:
+    ) -> tuple[dict[str, Counter], dict[str, Gauge], dict[str, Histogram]]:
         """Consistent copies of the name tables (safe to iterate)."""
         with self._lock:
-            return (
-                dict(self._counters),
-                dict(self._gauges),
-                dict(self._timers),
-                dict(self._histograms),
-            )
+            return dict(self._counters), dict(self._gauges), dict(self._timers)
 
     def snapshot(self) -> dict[str, object]:
         """All metric values as one JSON-serialisable dict, sorted names."""
-        counters, gauges, timers, histograms = self._tables()
+        counters, gauges, timers = self._tables()
         return {
             "counters": {name: counters[name].value for name in sorted(counters)},
             "gauges": {name: gauges[name].value for name in sorted(gauges)},
-            "timers": {name: timers[name].summary() for name in sorted(timers)},
-            "histograms": {
-                name: histograms[name].snapshot() for name in sorted(histograms)
-            },
+            "timers": {name: timers[name].snapshot() for name in sorted(timers)},
         }
 
     def counter_values(self) -> dict[str, int]:
@@ -312,11 +179,11 @@ class MetricsRegistry:
 
         One ``<name> <value>`` pair per line, grouped by instrument kind
         under ``#`` comment headers, names sorted within each group so
-        the output is diffable and greppable. Timers and histograms
-        flatten their summaries into ``<name>.<stat>`` lines (``count``
-        first). Floats render via ``repr`` so no precision is invented
-        or dropped; names are escaped per :meth:`_escape_name`. Safe to
-        call while other threads update instruments.
+        the output is diffable and greppable. Timers flatten their
+        snapshots into ``<name>.<stat>`` lines (``count`` first). Floats
+        render via ``repr`` so no precision is invented or dropped;
+        names are escaped per :meth:`_escape_name`. Safe to call while
+        other threads update instruments.
 
         >>> registry = MetricsRegistry()
         >>> registry.counter("serve.requests").inc(3)
@@ -324,16 +191,11 @@ class MetricsRegistry:
         # counters
         serve.requests 3
         """
-        counters, gauges, timers, histograms = self._tables()
+        counters, gauges, timers = self._tables()
         lines: list[str] = []
 
         def value_text(value: object) -> str:
             return repr(value) if isinstance(value, float) else str(value)
-
-        def summary_lines(name: str, summary: dict[str, float]) -> None:
-            safe = self._escape_name(name)
-            for stat in sorted(summary, key=lambda s: (s != "count", s)):
-                lines.append(f"{safe}.{stat} {value_text(summary[stat])}")
 
         if counters:
             lines.append("# counters")
@@ -348,11 +210,10 @@ class MetricsRegistry:
         if timers:
             lines.append("# timers")
             for name in sorted(timers):
-                summary_lines(name, timers[name].summary())
-        if histograms:
-            lines.append("# histograms")
-            for name in sorted(histograms):
-                summary_lines(name, histograms[name].snapshot())
+                safe = self._escape_name(name)
+                summary = timers[name].snapshot()
+                for stat in sorted(summary, key=lambda s: (s != "count", s)):
+                    lines.append(f"{safe}.{stat} {value_text(summary[stat])}")
         return "\n".join(lines)
 
     def reset(self) -> None:
@@ -361,11 +222,9 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._timers.clear()
-            self._histograms.clear()
 
     def __repr__(self) -> str:
         return (
             f"<MetricsRegistry counters={len(self._counters)} "
-            f"gauges={len(self._gauges)} timers={len(self._timers)} "
-            f"histograms={len(self._histograms)}>"
+            f"gauges={len(self._gauges)} timers={len(self._timers)}>"
         )

@@ -33,6 +33,7 @@ __all__ = [
     "DONE",
     "FAILED",
     "CANCELLED",
+    "DEFAULT_JOB_HISTORY",
     "JobRecord",
     "execute_request",
 ]
@@ -46,6 +47,10 @@ CANCELLED = "cancelled"
 #: States from which a job will still produce (or has produced) a result;
 #: a resubmission of one of these coalesces instead of re-running.
 COALESCABLE_STATES = (QUEUED, RUNNING, DONE)
+
+#: Terminal records a job table keeps by default (``--job-history``). A
+#: simulate record costs about 2.3 KB, so this caps a shard near 10 MB.
+DEFAULT_JOB_HISTORY = 4096
 
 
 @dataclass(slots=True)
@@ -130,13 +135,11 @@ class JobTable:
     a result cache behind the server, eviction loses nothing: the next
     identical submission is answered from the cache; for lost *failed*
     ids, resubmitting retries, which is what the 404 advises anyway.
-    ``history=None`` (the default) keeps the unbounded pre-tier
-    behaviour.
     """
 
     records: dict[str, JobRecord] = field(default_factory=dict)
-    #: Max terminal records retained; ``None`` means unbounded.
-    history: int | None = None
+    #: Max terminal records retained.
+    history: int = DEFAULT_JOB_HISTORY
     #: Terminal ids in least-recently-touched-first order.
     _terminal: OrderedDict[str, None] = field(default_factory=OrderedDict)
     #: Terminal records dropped to honour the history bound.
@@ -187,8 +190,6 @@ class JobTable:
             return
         self._terminal[record.id] = None
         self._terminal.move_to_end(record.id)
-        if self.history is None:
-            return
         while len(self._terminal) > max(0, self.history):
             victim, _ = self._terminal.popitem(last=False)
             self.records.pop(victim, None)

@@ -1156,18 +1156,18 @@ class ShardedServer:
         return 0
 
     def run(self, *, install_signals: bool = True) -> int:
-        """Blocking entry point: fork workers, route until shut down."""
-        prev = (OBS.registry, OBS.sink, OBS.enabled, OBS._seq)
+        """Blocking entry point: fork workers, route until shut down.
+
+        The router's own counters live under :func:`repro.obs.instrumented`
+        for its lifetime; each shard instruments itself the same way.
+        """
         sink = obs.StderrSink() if self.config.verbose else None
         self._spawn_workers()
-        obs.configure(sink=sink)
         try:
-            code = asyncio.run(self._main(install_signals))
+            with obs.instrumented(sink=sink):
+                code = asyncio.run(self._main(install_signals))
         finally:
             self._stop_workers()
-            if OBS.sink is not prev[1]:
-                OBS.sink.close()
-            OBS.registry, OBS.sink, OBS.enabled, OBS._seq = prev
         alive = sum(
             1 for proc in self._procs if proc is not None and proc.is_alive()
         )

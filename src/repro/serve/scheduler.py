@@ -74,7 +74,7 @@ class Scheduler:
         #: Serialises terminal-state transitions against /metrics and
         #: /healthz snapshots. Individual obs counters are thread-safe,
         #: but a completion updates several (state counts, done counter,
-        #: service histogram) that a scrape reads as one view — holding
+        #: service timer) that a scrape reads as one view — holding
         #: this lock across both sides keeps the exposition untorn.
         self.state_lock = threading.Lock()
         self._wakeup = asyncio.Event()
@@ -139,9 +139,9 @@ class Scheduler:
             record.state = RUNNING
             record.started_at = batch_start
             if record.admitted_at is not None:
-                record.queue_wait_s = batch_start - record.admitted_at
+                record.queue_wait_s = max(0.0, batch_start - record.admitted_at)
                 if OBS.enabled:
-                    OBS.hist("serve.queue.wait", record.queue_wait_s)
+                    OBS.observe("serve.queue.wait", record.queue_wait_s)
                 if TRACER.enabled and record.trace_ctx is not None:
                     # Retroactive: the wait was only known once the batch
                     # picked the job up, but the span's interval is real.
@@ -196,10 +196,10 @@ class Scheduler:
         """Finalise a successful batch (sync, under the state lock).
 
         One critical section covers every record transition *and* the
-        matching counter/histogram updates, so a concurrent ``/metrics``
+        matching counter/timer updates, so a concurrent ``/metrics``
         or ``/healthz`` scrape (which snapshots under the same lock) can
         never observe e.g. ``serve.jobs.done`` ahead of the service
-        histogram's count.
+        timer's count.
         """
         per_job = seconds / max(1, len(batch))
         finished = time.time()
@@ -215,7 +215,7 @@ class Scheduler:
                 self.table.mark_terminal(record)
                 if OBS.enabled:
                     OBS.count("serve.jobs.done")
-                    OBS.hist("serve.job.service", per_job)
+                    OBS.observe("serve.job.service", per_job)
             self.drained_batches += 1
             if OBS.enabled:
                 OBS.observe("serve.batch.time", seconds)

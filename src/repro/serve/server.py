@@ -62,7 +62,7 @@ from repro.errors import (
 from repro.exec.faults import FAULTS
 from repro.obs import OBS, TRACER
 from repro.serve.admission import AdmissionQueue
-from repro.serve.jobs import DONE, JobRecord, JobTable
+from repro.serve.jobs import DEFAULT_JOB_HISTORY, DONE, JobRecord, JobTable
 from repro.serve.protocol import job_id, job_material, normalize_request
 from repro.serve.scheduler import Scheduler
 
@@ -115,10 +115,10 @@ class ServeConfig:
     #: serve`` start a :class:`~repro.serve.router.ShardedServer` that
     #: forks N of these behind one public port.
     workers: int = 1
-    #: Max terminal job records retained in the in-memory table
-    #: (``None`` = unbounded). With a cache, evicted ids are recoverable
-    #: by resubmission — the cache answers instantly.
-    job_history: int | None = None
+    #: Max terminal job records retained in the in-memory table. With a
+    #: cache, evicted ids are recoverable by resubmission — the cache
+    #: answers instantly.
+    job_history: int = DEFAULT_JOB_HISTORY
     #: This worker's shard index under a router (``None`` standalone);
     #: cosmetic: banner + ``/healthz`` labelling only.
     shard: int | None = None
@@ -243,10 +243,17 @@ class SimulationServer:
         self.ready.set()
 
     def shutdown(self) -> None:
-        """Request a graceful drain; safe to call from any thread."""
+        """Request a graceful drain; safe to call from any thread.
+
+        Idempotent, including *after* the server has already exited:
+        the closed loop's ``RuntimeError`` means the drain is complete.
+        """
         loop = self._loop
         if loop is not None:
-            loop.call_soon_threadsafe(self._begin_shutdown)
+            try:
+                loop.call_soon_threadsafe(self._begin_shutdown)
+            except RuntimeError:
+                pass  # loop already closed: the drain is complete
 
     def _begin_shutdown(self) -> None:
         self.draining = True
@@ -310,23 +317,19 @@ class SimulationServer:
     def run(self, *, install_signals: bool = True) -> int:
         """Blocking entry point: serve until shut down, then drain.
 
-        Activates the process-wide obs facade for the server's lifetime
-        (so ``/metrics`` and the serve counters are live) and restores
-        the previous facade state afterwards — embedding a server in a
-        test leaves global state exactly as found.
+        Runs under :func:`repro.obs.instrumented` for the server's
+        lifetime (so ``/metrics`` and the serve counters are live), which
+        restores the previous facade state afterwards — embedding a
+        server in a test leaves global state exactly as found.
         """
-        prev = (OBS.registry, OBS.sink, OBS.enabled, OBS._seq)
         sink = obs.StderrSink() if self.config.verbose else None
-        obs.configure(sink=sink)
         tracing_before = TRACER.enabled
         if self.config.trace_spans is not None:
             TRACER.configure(self.config.trace_spans)
         try:
-            return asyncio.run(self._main(install_signals))
+            with obs.instrumented(sink=sink):
+                return asyncio.run(self._main(install_signals))
         finally:
-            if OBS.sink is not prev[1]:
-                OBS.sink.close()
-            OBS.registry, OBS.sink, OBS.enabled, OBS._seq = prev
             if self.config.trace_spans is not None and not tracing_before:
                 TRACER.deactivate()
 
@@ -595,7 +598,7 @@ class SimulationServer:
     def _healthz(self) -> Reply:
         # One consistent snapshot: terminal transitions (scheduler) and
         # the cache-answer path mutate job counts, counters, and
-        # histograms together under this lock, so a scrape racing a
+        # timers together under this lock, so a scrape racing a
         # completion sees either all of its effects or none.
         with self.scheduler.state_lock:
             payload = {
@@ -613,16 +616,15 @@ class SimulationServer:
             hot = getattr(self.cache, "hot", None)
             if hot is not None:
                 payload["hot_tier"] = hot.stats()
-            if self.table.history is not None:
-                payload["jobs"]["evicted"] = self.table.evicted
+            payload["jobs"]["evicted"] = self.table.evicted
             if OBS.enabled:
-                # Interpolated-percentile latency summaries (empty until
-                # the first batch runs; histograms created on demand).
+                # Bounded latency timers (empty until the first batch
+                # runs; created on demand).
                 payload["latency"] = {
-                    "queue_wait": OBS.registry.histogram(
+                    "queue_wait": OBS.registry.timer(
                         "serve.queue.wait"
                     ).snapshot(),
-                    "service": OBS.registry.histogram(
+                    "service": OBS.registry.timer(
                         "serve.job.service"
                     ).snapshot(),
                 }

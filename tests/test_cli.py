@@ -219,6 +219,29 @@ class TestSpanTracingFlags:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_later_flag_failure_still_closes_the_event_sink(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import obs
+
+        closed = []
+        real_close = obs.JsonlSink.close
+
+        def close(sink):
+            closed.append(sink)
+            real_close(sink)
+
+        monkeypatch.setattr(obs.JsonlSink, "close", close)
+        code = main(
+            ["stats", "Li", "--max-refs", "5000",
+             "--trace-events", str(tmp_path / "events.jsonl"),
+             "--trace-spans", str(tmp_path / "no" / "dir" / "s.jsonl")]
+        )
+        assert code == 1
+        assert len(closed) == 1
+        assert obs.OBS.enabled is False
+        assert isinstance(obs.OBS.sink, obs.NullSink)
+
 
 class TestProfileCommand:
     def test_profile_prints_and_writes_json(self, tmp_path):
@@ -230,17 +253,21 @@ class TestProfileCommand:
         assert "refs/sec" in text
         assert "Table 2" in text  # the experiment's own output still shows
         data = json.loads(path.read_text())
-        assert data["schema"] == "repro.profile/v2"
+        assert data["schema"] == "repro.profile/v3"
         assert data["experiment"] == "table2"
         assert data["references"] > 0
-        # v2: per-stage registry timers mean "timers" is never empty.
-        assert data["timers"]["profile.stage.run"]["count"] == 1
+        # Per-stage registry timers mean "timers" is never empty; v3
+        # timers are bounded snapshots and "histograms" is gone.
+        run = data["timers"]["profile.stage.run"]
+        assert run["count"] == 1
+        assert run["min_s"] <= run["p99_s"] <= run["max_s"]
+        assert "histograms" not in data
 
     def test_profile_with_trace_events(self, tmp_path):
         profile_path = tmp_path / "profile.json"
         events_path = tmp_path / "events.jsonl"
         run_cli(
-            "profile", "figure1",
+            "profile", "table2", "--max-refs", "5000",
             "--output", str(profile_path),
             "--trace-events", str(events_path),
         )
@@ -248,7 +275,7 @@ class TestProfileCommand:
             json.loads(line)
             for line in events_path.read_text().strip().splitlines()
         ]
-        assert any(e["kind"] == "stage.begin" for e in events)
+        assert any(e["kind"] == "mtc.simulate" for e in events)
         assert profile_path.exists()
 
 
@@ -477,7 +504,7 @@ class TestServeParser:
         assert not args.no_cache and not args.verbose
         assert args.workers == 1
         assert args.hot_tier_bytes is None
-        assert args.job_history is None
+        assert args.job_history == 4096
 
     def test_port_range_validated(self, capsys):
         for bad in ("-1", "65536", "http", "80.0"):

@@ -1,38 +1,45 @@
 """Tests for the metrics registry (counters, gauges, timers, snapshots)."""
 
 import threading
+import tracemalloc
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    Timer,
-    percentile,
-)
+from repro.obs import OBS, instrumented
+from repro.obs.hist import Histogram
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
+
+
+def timer_of(*samples: float) -> Histogram:
+    timer = MetricsRegistry().timer("t")
+    for seconds in samples:
+        timer.observe(seconds)
+    return timer
 
 
 class TestPercentile:
+    """The timer's percentile estimate (interpolated within a bucket)."""
+
     def test_median_of_even_count(self):
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.0
+        assert timer_of(1.0, 2.0, 3.0, 4.0).snapshot()["p50_s"] == 2.0
 
     def test_p0_is_min_p100_is_max(self):
-        samples = [5.0, 1.0, 3.0]
-        assert percentile(samples, 0) == 1.0
-        assert percentile(samples, 100) == 5.0
+        timer = timer_of(5.0, 1.0, 3.0)
+        assert timer.quantile(0) == 1.0
+        assert timer.quantile(100) == 5.0
 
     def test_single_sample(self):
-        assert percentile([7.0], 99) == 7.0
+        snapshot = timer_of(7.0).snapshot()
+        assert snapshot["p50_s"] == snapshot["p99_s"] == 7.0
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
-            percentile([], 50)
+            timer_of().quantile(50)
 
     def test_out_of_range_q_rejected(self):
         with pytest.raises(ConfigurationError):
-            percentile([1.0], 101)
+            timer_of(1.0).quantile(101)
 
 
 class TestCounter:
@@ -54,32 +61,40 @@ class TestGauge:
 
 class TestTimer:
     def test_observe_and_summary(self):
-        timer = Timer("t")
-        for seconds in (0.1, 0.2, 0.3, 0.4):
-            timer.observe(seconds)
-        summary = timer.summary()
+        timer = timer_of(0.1, 0.2, 0.3, 0.4)
+        summary = timer.snapshot()
+        # count and total are exact; the percentiles are estimates that
+        # never leave the observed range.
         assert summary["count"] == 4
         assert summary["total_s"] == pytest.approx(1.0)
         assert summary["mean_s"] == pytest.approx(0.25)
-        # Interpolated (linear) percentiles: the p50 of {.1,.2,.3,.4}
-        # is the midpoint, not the nearest-rank sample.
-        assert summary["p50_s"] == pytest.approx(0.25)
-        assert summary["p95_s"] == pytest.approx(0.385)
+        assert summary["min_s"] == pytest.approx(0.1)
         assert summary["max_s"] == pytest.approx(0.4)
+        assert 0.1 <= summary["p50_s"] <= summary["p95_s"] <= 0.4
+        assert summary["p95_s"] <= summary["p99_s"] <= 0.4
 
     def test_empty_summary(self):
-        assert Timer("t").summary() == {"count": 0, "total_s": 0.0}
-
-    def test_context_manager_records_a_sample(self):
-        timer = Timer("t")
-        with timer.time():
-            pass
-        assert timer.count == 1
-        assert timer.samples[0] >= 0.0
+        assert timer_of().snapshot() == {"count": 0, "total_s": 0.0}
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ConfigurationError):
-            Timer("t").observe(-0.1)
+            timer_of(-0.1)
+
+    def test_memory_stays_bounded(self):
+        """A long-lived server observes forever: 10^5 samples must not
+        cost memory per sample (a sample-keeping timer grew 3.2 MB)."""
+        with instrumented():
+            OBS.observe("serve.batch.time", 0.001)  # create the timer
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for index in range(100_000):
+                    OBS.observe("serve.batch.time", index * 1e-6)
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert OBS.registry.timer("serve.batch.time").count == 100_001
+        assert grown < 64 * 1024
 
 
 class TestMetricsRegistry:
@@ -118,27 +133,30 @@ class TestMetricsRegistry:
     def test_reset_drops_everything(self):
         registry = MetricsRegistry()
         registry.counter("n").inc()
+        registry.timer("t").observe(0.5)
         registry.reset()
         assert registry.snapshot() == {
             "counters": {},
             "gauges": {},
             "timers": {},
-            "histograms": {},
         }
 
     def test_histogram_kind_shares_the_namespace(self):
+        # A timer is a bounded histogram; its name excludes other kinds.
         registry = MetricsRegistry()
-        registry.histogram("h")
+        assert isinstance(registry.timer("h"), Histogram)
         with pytest.raises(ConfigurationError):
             registry.counter("h")
         with pytest.raises(ConfigurationError):
-            registry.timer("h")
+            registry.gauge("h")
 
     def test_histogram_snapshot_appears(self):
         registry = MetricsRegistry()
-        registry.histogram("lat").observe(0.003)
+        registry.timer("lat").observe(0.003)
         snap = registry.snapshot()
-        assert snap["histograms"]["lat"]["count"] == 1
+        assert set(snap) == {"counters", "gauges", "timers"}
+        assert snap["timers"]["lat"]["count"] == 1
+        assert snap["timers"]["lat"]["min_s"] == pytest.approx(0.003)
 
 
 class TestExposition:
@@ -147,22 +165,31 @@ class TestExposition:
         registry.counter("b.second").inc(2)
         registry.counter("a.first").inc(1)
         registry.gauge("g").set(1.5)
-        registry.timer("t").observe(0.5)
-        registry.histogram("h").observe(0.003)
+        registry.timer("serve.batch.time").observe(0.5)
         text = registry.exposition()
         lines = text.splitlines()
         assert lines[0] == "# counters"
         assert lines[1] == "a.first 1"
         assert lines[2] == "b.second 2"
-        assert "# gauges" in lines and "# timers" in lines
-        assert "# histograms" in lines
-        # count leads each summary block; stats follow alphabetically.
-        timer_stats = [
-            line for line in lines if line.startswith("t.")
+        assert [line for line in lines if line.startswith("#")] == [
+            "# counters",
+            "# gauges",
+            "# timers",
         ]
-        assert timer_stats[0] == "t.count 1"
-        hist_stats = [line for line in lines if line.startswith("h.")]
-        assert hist_stats[0] == "h.count 1"
+        # count leads each timer block; stats follow alphabetically.
+        # perfbench and CI read serve.batch.time.count off /metrics.
+        timer_lines = lines[lines.index("# timers") + 1:]
+        assert [line.split()[0] for line in timer_lines] == [
+            "serve.batch.time.count",
+            "serve.batch.time.max_s",
+            "serve.batch.time.mean_s",
+            "serve.batch.time.min_s",
+            "serve.batch.time.p50_s",
+            "serve.batch.time.p95_s",
+            "serve.batch.time.p99_s",
+            "serve.batch.time.total_s",
+        ]
+        assert timer_lines[0] == "serve.batch.time.count 1"
 
     def test_deterministic_output_for_same_state(self):
         def build():
@@ -202,7 +229,7 @@ class TestExposition:
         assert f"g {(0.1 + 0.2)!r}" in registry.exposition()
 
     def test_scrape_during_concurrent_updates(self):
-        """A /metrics render racing counter and histogram updates must
+        """A /metrics render racing counter and timer updates must
         neither crash nor produce malformed lines."""
         registry = MetricsRegistry()
         errors: list[BaseException] = []
@@ -211,7 +238,7 @@ class TestExposition:
             try:
                 for _ in range(2000):
                     registry.counter(f"c.{index}").inc()
-                    registry.histogram(f"h.{index}").observe(0.001)
+                    registry.timer(f"h.{index}").observe(0.001)
             except BaseException as exc:
                 errors.append(exc)
 

@@ -1,13 +1,16 @@
 """Tests for admission control, the job table, and scheduler recovery."""
 
 import asyncio
+import time
 
 import pytest
 
 from repro.errors import AdmissionRejected, ConfigurationError, TaskError
+from repro.obs import OBS, instrumented
 from repro.serve.admission import AdmissionQueue
 from repro.serve.jobs import (
     CANCELLED,
+    DEFAULT_JOB_HISTORY,
     DONE,
     FAILED,
     QUEUED,
@@ -192,12 +195,14 @@ class TestJobTableHistory:
         assert table.get("a") is not None
         assert table.get("b") is None
 
-    def test_unbounded_by_default(self):
+    def test_default_history_bounds_the_table(self):
         table = JobTable()
-        for index in range(50):
+        for index in range(DEFAULT_JOB_HISTORY + 50):
             self._settle(table, f"job-{index}")
-        assert table.evicted == 0
-        assert table.counts() == {"done": 50}
+        assert table.evicted == 50
+        assert table.counts() == {"done": DEFAULT_JOB_HISTORY}
+        assert table.get("job-49") is None
+        assert table.get("job-50") is not None
 
     def test_mark_terminal_ignores_unindexed_records(self):
         table = JobTable(history=1)
@@ -283,6 +288,31 @@ class TestSchedulerRecovery:
         assert table.get("stuck").state == FAILED
         # First run + MAX_REQUEUES re-admissions, then failed outright.
         assert len(attempts) == MAX_REQUEUES + 1
+
+    def test_clock_step_back_clamps_queue_wait(self, monkeypatch):
+        """A wall clock stepping back between admission and batch start
+        must not fail the batch (and strand the job in ``running``)."""
+        monkeypatch.setattr(
+            "repro.serve.jobs.execute_request",
+            lambda request: {"output": request["workload"]},
+        )
+        queue = AdmissionQueue(4)
+        table = JobTable()
+        job = record("early")
+        job.admitted_at = time.time() + 1.0
+        table.resolve(job)
+        queue.offer(job)
+
+        async def main():
+            scheduler = Scheduler(queue, table, max_inflight=1, jobs=1)
+            await scheduler._run_batch(queue.drain(1))
+
+        with instrumented():
+            asyncio.run(main())
+            waits = OBS.registry.snapshot()["timers"]["serve.queue.wait"]
+        assert job.state == DONE
+        assert job.queue_wait_s == 0.0
+        assert waits["count"] == 1
 
     def test_shutdown_cancels_unstarted_jobs(self):
         async def main():

@@ -397,7 +397,7 @@ class TestIntrospection:
             health = client.healthz()
         assert health["status"] == "ok"
         assert health["queue"] == {"depth": 0, "capacity": 64}
-        assert health["jobs"] == {"done": 1}
+        assert health["jobs"] == {"done": 1, "evicted": 0}
         assert health["cache"]["entries"] == 1
         assert health["cache"]["quarantined"] == 0
 
@@ -548,7 +548,10 @@ class TestSpanTracing:
             )
             text = client.metrics_text()
             metrics = client.metrics()
-        assert "# histograms" in text
+        # Latency distributions are bounded timers: one header, one kind.
+        assert "# timers" in text
+        assert "# histograms" not in text
+        assert metrics["serve.batch.time.count"] == 1
         assert metrics["serve.queue.wait.count"] == 1
         assert metrics["serve.job.service.count"] == 1
         assert metrics["serve.job.service.p99_s"] > 0.0
@@ -681,7 +684,7 @@ class TestJobHistory:
 class TestScrapeConsistency:
     def test_scrapes_racing_completions_see_consistent_counts(self, tmp_path):
         """/metrics and /healthz snapshot under the scheduler's state
-        lock: jobs.done and the service histogram count are updated in
+        lock: jobs.done and the service timer count are updated in
         the same critical section, so no scrape may ever observe one
         without the other."""
         inconsistencies = []
@@ -723,6 +726,11 @@ class TestScrapeConsistency:
 
 
 class TestGracefulShutdown:
+    def test_shutdown_after_exit_is_a_no_op(self):
+        with running_server() as (server, _):
+            pass
+        server.shutdown()  # the loop is closed: nothing left to drain
+
     def test_sigint_drains_and_exits_zero(self, tmp_path):
         cache_dir = tmp_path / "cache"
         env = dict(os.environ)
