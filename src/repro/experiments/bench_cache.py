@@ -1,10 +1,10 @@
 """Benchmark: set-associative LRU simulation, scalar loop vs vector engine.
 
 Runs every SPEC92 benchmark through one representative set-associative
-configuration (32 KB, 32-byte blocks, 4-way LRU, write-back
+configuration (64 KB, 32-byte blocks, 4-way LRU, write-back
 write-allocate) twice — once with the scalar per-access loop and once
-with the padded-column vector kernel — asserting the two produce
-identical :class:`~repro.mem.cache.CacheStats` before reporting
+with the per-set LRU stack loop of ``engine="vector"`` — asserting the
+two produce identical :class:`~repro.mem.cache.CacheStats` before reporting
 per-engine throughput. This is the ``repro profile bench_cache`` target
 backing the engine numbers in docs/performance.md; the measured speedup
 also lands in ``BENCH_profile.json`` as the ``bench.cache.speedup``
@@ -28,9 +28,6 @@ DEFAULT_BENCH_REFS = 100_000
 
 #: The benchmarked configuration: big enough to exercise real set
 #: pressure, associative enough to leave the direct-mapped fast path.
-#: 512 sets keeps the vector kernel's columns wide — its favourable
-#: regime (the auto cost model exists precisely because narrow-column
-#: workloads are not).
 BENCH_CONFIG = CacheConfig(
     size_bytes=64 * 1024, block_bytes=32, associativity=4
 )

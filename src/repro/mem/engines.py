@@ -1,18 +1,20 @@
-"""Vectorized simulation engines and one-pass multi-size sweep kernels.
+"""Fast exact simulation engines and one-pass multi-size sweep kernels.
 
 The scalar simulators in :mod:`repro.mem.cache` and :mod:`repro.mem.mtc`
-process one reference per Python-interpreter iteration, which caps every
-experiment near 10^6 references/second. This module provides numpy
-kernels that compute *bit-identical* :class:`~repro.mem.cache.CacheStats`
-(the differential property suite in ``tests/test_mem_engines.py`` holds
-them to exact equality):
+process one reference per Python-interpreter iteration through policy
+and line objects, which caps every experiment near 10^6
+references/second. This module provides engines that compute
+*bit-identical* :class:`~repro.mem.cache.CacheStats` (the differential
+property suite in ``tests/test_mem_engines.py`` holds them to exact
+equality):
 
-* :func:`simulate_cache_columns` — A-way set-associative LRU simulation
-  for every write/allocate policy combination. References are grouped by
-  set with one stable sort, then laid out column-major (k-th access of
-  every set side by side) so each time step updates all sets' LRU stacks
-  with a handful of array operations instead of one Python iteration per
-  reference.
+* :func:`simulate_cache_lru` — A-way set-associative LRU simulation
+  for every write/allocate policy combination (and any replacement
+  policy at associativity 1, where the victim is forced). One
+  insertion-ordered dict per set is that set's LRU stack, oldest line
+  first; under write-back/write-allocate a line is just its dirty flag.
+  Direct-mapped write-back/write-allocate caches take a vectorized
+  kernel instead: one stable sort by set and array comparisons.
 * :func:`simulate_mtc_fast` — the minimal-traffic cache's Belady MIN
   with a vectorized next-use pass and batched hit accounting: runs of
   hits between misses are counted with array reductions, and only the
@@ -28,16 +30,17 @@ them to exact equality):
 Engine selection is a process-wide choice (``auto`` | ``scalar`` |
 ``vector`` | ``sampled``) settable via :func:`set_engine`, the
 :func:`use_engine` context manager, the ``REPRO_ENGINE`` environment
-variable, or the CLI's ``--engine`` flag. ``auto`` picks vector kernels
-when they are eligible and a simple cost model predicts a win; ``scalar``
-forces the reference implementations (including disabling the
-long-standing direct-mapped fast path — this is the honest baseline for
-differential tests and benchmarks); ``vector`` demands a vector kernel
-and raises :class:`~repro.errors.ConfigurationError` where none exists.
-``sampled`` is the third tier (:mod:`repro.mem.sampled`): spatial
-reference sampling producing *estimates with error envelopes* instead of
-exact counts — ``auto`` only ever picks it when a sampling rate was
-explicitly configured and the trace is huge.
+variable, or the CLI's ``--engine`` flag. ``auto`` runs a fast exact
+engine wherever one is eligible; ``scalar`` forces the reference
+implementations (including disabling the direct-mapped kernel — this is
+the honest baseline for differential tests and benchmarks); ``vector``
+demands a fast engine and raises
+:class:`~repro.errors.ConfigurationError` where none exists (traffic
+listeners, non-LRU replacement above associativity 1, multi-word MTC
+blocks). ``sampled`` is the third tier (:mod:`repro.mem.sampled`):
+spatial reference sampling producing *estimates with error envelopes*
+instead of exact counts — ``auto`` only ever picks it when a sampling
+rate was explicitly configured and the trace is huge.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from repro.mem.cache import (
     CacheConfig,
     CacheStats,
     WritePolicy,
-    _simulate_direct_mapped_writeback,
 )
 from repro.mem.mtc import MTCConfig
 from repro.mem.policies import NEVER, compute_next_use
@@ -69,7 +71,7 @@ __all__ = [
     "use_engine",
     "resolve_engine",
     "cache_vector_reason",
-    "simulate_cache_columns",
+    "simulate_cache_lru",
     "direct_mapped_family",
     "fully_associative_lru_family",
     "PreparedMTC",
@@ -80,10 +82,6 @@ __all__ = [
 
 #: Valid values for the process-wide engine selection.
 ENGINE_CHOICES = ("auto", "scalar", "vector", "sampled")
-
-#: Word masks fit one int64 (bit 63 is the sign), so write-validate's
-#: per-word valid/dirty masks vectorize only up to this many words.
-MAX_MASK_WORDS = 62
 
 
 def _validated(name: str) -> str:
@@ -128,58 +126,18 @@ def resolve_engine(explicit: str | None = None) -> str:
 
 
 # --------------------------------------------------------------------------
-# Auto-selection cost model
-# --------------------------------------------------------------------------
-
-# Rough single-core throughput constants, calibrated on the container
-# this repo benchmarks in (see docs/performance.md). They only steer the
-# scalar/vector choice under "auto"; correctness never depends on them.
-_SCALAR_SECONDS_PER_REF = 1.0e-6
-_VECTOR_SECONDS_PER_COLUMN = 3.0e-5
-_VECTOR_SECONDS_PER_REF = 2.0e-7
-_VECTOR_SECONDS_PER_WAY_REF = 2.0e-9
-
-
-def _columns_profitable(n: int, ways: int, longest_set: int) -> bool:
-    """Predict whether the column kernel beats the scalar loop.
-
-    The kernel's cost has a per-column floor (one batch of numpy calls
-    per time step), so heavily skewed set-access distributions — one hot
-    set receiving most references, as Compress's hash loop produces —
-    make it slower than the scalar loop even though balanced traces run
-    an order of magnitude faster.
-    """
-    vector = (
-        longest_set * _VECTOR_SECONDS_PER_COLUMN
-        + n * _VECTOR_SECONDS_PER_REF
-        + n * ways * _VECTOR_SECONDS_PER_WAY_REF
-    )
-    return vector < n * _SCALAR_SECONDS_PER_REF
-
-
-# --------------------------------------------------------------------------
-# Set-associative LRU column kernel
+# Cache engine selection
 # --------------------------------------------------------------------------
 
 
 def cache_vector_reason(config: CacheConfig, listener=None) -> str | None:
-    """Why *config* cannot use a vector cache engine (None = it can)."""
+    """Why *config* cannot use a fast cache engine (None = it can)."""
     if listener is not None:
         return "traffic listeners require the per-access scalar loop"
-    if config.replacement == "min":
-        return "MIN replacement is served by the MTC engine, not the cache kernel"
-    if config.replacement != "lru" and config.associativity > 1:
+    if config.associativity > 1 and config.replacement != "lru":
         return (
-            f"{config.replacement!r} replacement only vectorizes at "
+            f"{config.replacement!r} replacement has a fast engine only at "
             "associativity 1 (victim choice is forced)"
-        )
-    if (
-        config.allocate is AllocatePolicy.WRITE_VALIDATE
-        and config.words_per_block > MAX_MASK_WORDS
-    ):
-        return (
-            f"write-validate masks for {config.words_per_block}-word "
-            f"blocks exceed one int64 ({MAX_MASK_WORDS} words)"
         )
     return None
 
@@ -190,7 +148,6 @@ def _dm_fast_eligible(config: CacheConfig, listener) -> bool:
         and config.associativity == 1
         and config.write_policy is WritePolicy.WRITEBACK
         and config.allocate is AllocatePolicy.WRITE_ALLOCATE
-        and config.replacement in ("lru", "fifo", "random")
     )
 
 
@@ -202,90 +159,62 @@ def dispatch_cache(
     selection: str,
     listener=None,
 ) -> CacheStats | None:
-    """Pick and run a vector cache engine, or return None for scalar.
+    """Run the fast exact cache engine for *config*, or return None.
 
     ``selection`` is a resolved engine name other than ``"scalar"`` or
     ``"sampled"`` (the sampled tier dispatches in ``Cache.simulate``
-    before this point). Under ``"vector"`` an ineligible configuration
-    raises; under ``"auto"`` the cost model may still prefer the scalar
-    loop.
+    before this point). None sends the run to the per-access
+    ``Cache.access`` reference; under ``"vector"`` an ineligible
+    configuration raises instead.
     """
     if _dm_fast_eligible(config, listener):
         return _simulate_direct_mapped_writeback(config, trace, flush)
     reason = cache_vector_reason(config, listener)
-    if reason is not None:
-        if selection == "vector":
-            raise ConfigurationError(
-                f"no vector engine for {config.describe()}: {reason}"
-            )
-        return None
-    if selection == "auto":
-        n = len(trace)
-        if n == 0:
-            return None
-        sets = (trace.addresses // config.block_bytes) % config.num_sets
-        if config.num_sets <= 1 << 22:
-            counts = np.bincount(sets, minlength=1)
-        else:  # sparse giant set spaces: count per touched set only
-            _, counts = np.unique(sets, return_counts=True)
-        if not _columns_profitable(n, config.associativity, int(counts.max())):
-            return None
-    return simulate_cache_columns(config, trace, flush=flush)
+    if reason is None:
+        return simulate_cache_lru(config, trace, flush=flush)
+    if selection == "vector":
+        raise ConfigurationError(
+            f"no vector engine for {config.describe()}: {reason}"
+        )
+    return None
 
 
-def _column_layout(sets: np.ndarray):
-    """Column-major layout of references grouped by set.
+def _simulate_direct_mapped_writeback(
+    config: CacheConfig, trace: MemTrace, flush: bool
+) -> CacheStats:
+    """Vectorized exact simulation of a direct-mapped WB/WA cache.
 
-    Returns ``(colorder, lanes_per_column, offsets, longest)`` where
-    ``colorder`` permutes the trace so that column ``t`` (every set's
-    t-th access, sets ordered by descending access count) occupies the
-    contiguous slice ``offsets[t]:offsets[t + 1]``. Ordering sets by
-    count makes the active lanes of every column a prefix of the state
-    arrays, so each time step works on plain slices.
+    In a direct-mapped cache each set holds one block, so a reference hits
+    iff the previous reference to its set touched the same block. One
+    stable sort by set turns the run into the array comparisons of
+    :func:`_dm_stats_from_order`.
     """
-    n = sets.size
-    order = np.argsort(sets, kind="stable")
-    grouped = sets[order]
-    heads = np.empty(n, dtype=bool)
-    heads[0] = True
-    heads[1:] = grouped[1:] != grouped[:-1]
-    group_of = np.cumsum(heads) - 1
-    counts = np.bincount(group_of)
-    num_groups = counts.size
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    position = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
-    by_count = np.argsort(-counts, kind="stable")
-    lane_of_group = np.empty(num_groups, dtype=np.int64)
-    lane_of_group[by_count] = np.arange(num_groups, dtype=np.int64)
-    lane = lane_of_group[group_of]
-    colorder = order[np.argsort(position * num_groups + lane, kind="stable")]
-    counts_desc = counts[by_count]
-    longest = int(counts_desc[0])
-    lanes_per_column = np.searchsorted(
-        -counts_desc, -np.arange(longest, dtype=np.int64), side="left"
+    if len(trace) == 0:
+        return CacheStats()
+    blocks = trace.addresses // config.block_bytes
+    order = np.argsort(blocks % config.num_sets, kind="stable")
+    return _dm_stats_from_order(
+        config, blocks, trace.is_write, order, trace, flush
     )
-    offsets = np.concatenate(([0], np.cumsum(lanes_per_column)))
-    return colorder, lanes_per_column, offsets, longest
 
 
-def simulate_cache_columns(
+# --------------------------------------------------------------------------
+# Set-associative LRU stack loop
+# --------------------------------------------------------------------------
+
+
+def simulate_cache_lru(
     config: CacheConfig, trace: MemTrace, *, flush: bool = True
 ) -> CacheStats:
-    """Vectorized exact set-associative LRU simulation (all policies).
+    """Exact set-associative LRU simulation (all write/allocate policies).
 
-    Each set's LRU stack is one row of an ``(active sets, ways)`` array,
-    MRU first. Every time step processes one access per active set: a
-    block match against the stack gives hits and ways, and a gather with
-    a per-row shifted source index rotates the touched (or victim) way
-    to the front — the array form of the scalar move-to-front.
-
-    Stack entries are packed as ``block << 1 | dirty`` (sentinel ``-2``),
-    so the block-granularity write-back state rides along in the one
-    rotate gather instead of needing its own gather and copy-back per
-    column — the loop body is pure per-call overhead at these widths, so
-    fewer numpy crossings is directly fewer microseconds per column.
-    Write-validate keeps separate per-word valid/dirty masks (bit 0 of
-    the packed entry stays clear).
+    ``Cache.access`` without its per-access overhead: blocks and write
+    flags become lists once, and each set is one insertion-ordered dict,
+    oldest line first. A hit pops its block and re-inserts it at the
+    young end; a fill into a full set evicts ``next(iter(lines))``. At
+    associativity 1 the victim is forced, so every replacement policy
+    runs here. The loops count only misses, holes and evictions; fetches
+    and write-through words follow from those once, at the end.
     """
     reason = cache_vector_reason(config)
     if reason is not None:
@@ -298,148 +227,118 @@ def simulate_cache_columns(
     )
     if n == 0:
         return stats
+    writeback = config.write_policy is WritePolicy.WRITEBACK
+    allocate = config.allocate
+    blocks = (trace.addresses // config.block_bytes).tolist()
+    writes = trace.is_write.tolist()
+    stacks: list[dict] = [{} for _ in range(config.num_sets)]
+    if writeback and allocate is AllocatePolicy.WRITE_ALLOCATE:
+        counts = _lru_writeback_allocate(
+            blocks, writes, stacks, config.associativity
+        )
+    else:
+        words = ((trace.addresses % config.block_bytes) // WORD_BYTES).tolist()
+        counts = _lru_any_policy(blocks, words, writes, stacks, config)
+    misses, write_misses, holes, written_back, dirty_left = counts
 
-    block_bytes = config.block_bytes
+    read_misses = misses - write_misses
+    stats.read_hits = stats.reads - read_misses
+    stats.write_hits = stats.writes - write_misses
+    # Read misses and reads of write-validated holes fetch a block; write
+    # misses fetch one only under write-allocate.
+    fetches = read_misses + holes
+    if allocate is AllocatePolicy.WRITE_ALLOCATE:
+        fetches += write_misses
+    stats.fetch_bytes = fetches * config.block_bytes
+    if not writeback:  # every write sends its word below, hit or miss
+        stats.writethrough_bytes = stats.writes * WORD_BYTES
+    elif allocate is AllocatePolicy.NO_ALLOCATE:  # write misses go around
+        stats.writethrough_bytes = write_misses * WORD_BYTES
+    # A write-validate line writes back only its dirty words; any other
+    # dirty line writes back its whole block.
+    if allocate is AllocatePolicy.WRITE_VALIDATE:
+        unit = WORD_BYTES
+    else:
+        unit = config.block_bytes
+    stats.writeback_bytes = written_back * unit
+    if flush:
+        stats.flush_writeback_bytes = dirty_left * unit
+    return stats
+
+
+def _lru_writeback_allocate(
+    blocks: list, writes: list, stacks: list[dict], ways: int
+) -> tuple[int, int, int, int, int]:
+    """The write-back/write-allocate loop: a line's value is its dirty flag."""
+    set_mask = len(stacks) - 1  # set counts are powers of two
+    misses = write_misses = written_back = 0
+    for block, write in zip(blocks, writes):
+        lines = stacks[block & set_mask]
+        dirty = lines.pop(block, None)
+        if dirty is None:
+            misses += 1
+            if write:
+                write_misses += 1
+            if len(lines) >= ways and lines.pop(next(iter(lines))):
+                written_back += 1
+            lines[block] = write
+        else:
+            lines[block] = dirty or write
+    dirty_left = sum(sum(lines.values()) for lines in stacks)
+    return misses, write_misses, 0, written_back, dirty_left
+
+
+def _lru_any_policy(
+    blocks: list,
+    words: list,
+    writes: list,
+    stacks: list[dict],
+    config: CacheConfig,
+) -> tuple[int, int, int, int, int]:
+    """Any write/allocate policy: a line is its (valid, dirty) word masks.
+
+    Only write-validate ever leaves a word invalid; a Python int holds
+    the masks of any block size.
+    """
+    set_mask = len(stacks) - 1
     ways = config.associativity
     writeback = config.write_policy is WritePolicy.WRITEBACK
-    write_validate = config.allocate is AllocatePolicy.WRITE_VALIDATE
     no_allocate = config.allocate is AllocatePolicy.NO_ALLOCATE
-
-    blocks = trace.addresses // block_bytes
-    sets = blocks % config.num_sets
-    colorder, lanes, offsets, longest = _column_layout(sets)
-    # Packed column streams: block << 1 (dirty bit clear) and its |1 twin
-    # for sentinel-proof matching (sentinel | 1 == -1 matches nothing).
-    cpacked = blocks[colorder] << 1
-    cmatch = cpacked | 1
-    cwrites = trace.is_write[colorder]
-    if write_validate:
-        word_bits = np.int64(1) << (
-            (trace.addresses % block_bytes) // WORD_BYTES
-        )
-        cbits = word_bits[colorder]
-        full_mask = np.int64((1 << config.words_per_block) - 1)
-
-    num_lanes = int(lanes[0])
-    stack = np.full((num_lanes, ways), -2, dtype=np.int64)
-    if write_validate:
-        valid = np.zeros((num_lanes, ways), dtype=np.int64)
-        dirty_mask = np.zeros((num_lanes, ways), dtype=np.int64)
-
-    way_index = np.arange(ways, dtype=np.int64)
-    way_row = way_index[None, :]
-    rows_full = np.arange(num_lanes, dtype=np.intp)[:, None]
-    read_hits = 0
-    write_hits = 0
-    fetch_blocks = 0
-    fetch_words = 0
-    writeback_blocks = 0
-    writeback_words = 0
-    writethrough_words = 0
-    last_way = ways - 1
-    track_dirty = writeback and not write_validate
-
-    for t in range(longest):
-        active = int(lanes[t])
-        start = int(offsets[t])
-        stop = start + active
-        wrt = cwrites[start:stop]
-        sb = stack[:active]
-
-        match = (sb | 1) == cmatch[start:stop, None]
-        hit = match.any(axis=1)
-        miss = ~hit
-        way = np.where(hit, match.argmax(axis=1), last_way)
-
-        hits_here = int(np.count_nonzero(hit))
-        rh = int(np.count_nonzero(hit & ~wrt))
-        read_hits += rh
-        write_hits += hits_here - rh
-
-        if no_allocate:
-            # Write misses bypass the cache entirely: no state change.
-            change = hit | ~wrt
-            writethrough_words += int(np.count_nonzero(miss & wrt))
-            evict = miss & ~wrt
+    write_validate = config.allocate is AllocatePolicy.WRITE_VALIDATE
+    full = (1 << config.words_per_block) - 1
+    # Write-back cost of a dirty mask, in words or in blocks.
+    cost = int.bit_count if write_validate else bool
+    misses = write_misses = holes = written_back = 0
+    for block, word, write in zip(blocks, words, writes):
+        bit = 1 << word
+        lines = stacks[block & set_mask]
+        line = lines.pop(block, None)
+        if line is not None:
+            valid, dirty = line
+            if write:
+                valid |= bit
+                if writeback:
+                    dirty |= bit
+            elif not valid & bit:  # read of a write-validated hole
+                holes += 1
+                valid = full
+            lines[block] = (valid, dirty)
+            continue
+        misses += 1
+        if write:
+            write_misses += 1
+            if no_allocate:
+                continue  # the word goes around; the set is untouched
+            line = (bit if write_validate else full, bit if writeback else 0)
         else:
-            change = None
-            evict = miss
-
-        # Victim accounting happens before the rotate overwrites way 0;
-        # never-filled ways hold the clean -2 sentinel.
-        if track_dirty:
-            victim_dirty = (sb[:, last_way] & 1) != 0
-            writeback_blocks += int(np.count_nonzero(evict & victim_dirty))
-        elif writeback:
-            wv_victim = dirty_mask[:active, last_way][evict]
-            writeback_words += int(np.bitwise_count(wv_victim).sum())
-
-        src = way_row - (way_row <= way[:, None])
-        src[:, 0] = way
-        rows = rows_full[:active]
-        new_stack = sb[rows, src]
-
-        if write_validate:
-            new_valid = valid[:active][rows, src]
-            new_dirty = dirty_mask[:active][rows, src]
-            front_valid = new_valid[:, 0]
-            # Read of a write-validated hole: fetch the whole block.
-            hole = hit & ~wrt & ((front_valid & cbits[start:stop]) == 0)
-            fetch_blocks += int(np.count_nonzero(miss & ~wrt))
-            fetch_blocks += int(np.count_nonzero(hole))
-            bit = cbits[start:stop]
-            wbit = np.where(wrt, bit, np.int64(0))
-            new_valid[:, 0] = np.where(
-                hit,
-                np.where(hole, full_mask, front_valid) | wbit,
-                np.where(wrt, bit, full_mask),
-            )
-            new_dirty[:, 0] = np.where(hit, new_dirty[:, 0] | wbit, wbit)
-            valid[:active] = new_valid
-            dirty_mask[:active] = new_dirty
-            new_stack[:, 0] = cpacked[start:stop]
-        else:
-            if config.allocate is AllocatePolicy.WRITE_ALLOCATE:
-                fetch_blocks += active - hits_here
-            else:  # no-allocate: only read misses fetch
-                fetch_blocks += int(np.count_nonzero(evict))
-            if track_dirty:
-                # Hits inherit the touched way's dirty bit; fills start
-                # dirty exactly when the access is a write.
-                stay_dirty = hit & ((new_stack[:, 0] & 1) != 0)
-                new_stack[:, 0] = cpacked[start:stop] + (wrt | stay_dirty)
-            else:
-                new_stack[:, 0] = cpacked[start:stop]
-
-        if change is not None:
-            stack[:active] = np.where(change[:, None], new_stack, sb)
-        else:
-            stack[:active] = new_stack
-
-    if config.write_policy is WritePolicy.WRITETHROUGH:
-        # Every write sends its word below, hit or miss, all policies.
-        writethrough_words = trace.write_count
-
-    stats.read_hits = read_hits
-    stats.write_hits = write_hits
-    stats.fetch_bytes = fetch_blocks * block_bytes + fetch_words * WORD_BYTES
-    stats.writeback_bytes = (
-        writeback_blocks * block_bytes + writeback_words * WORD_BYTES
+            line = (full, 0)
+        if len(lines) >= ways:
+            written_back += cost(lines.pop(next(iter(lines)))[1])
+        lines[block] = line
+    dirty_left = sum(
+        cost(dirty) for lines in stacks for _, dirty in lines.values()
     )
-    stats.writethrough_bytes = writethrough_words * WORD_BYTES
-
-    if flush and writeback:
-        if write_validate:
-            stats.flush_writeback_bytes = (
-                int(np.bitwise_count(dirty_mask).sum()) * WORD_BYTES
-            )
-        else:
-            # Dirty bits live in bit 0 of the packed stack entries; the
-            # -2 sentinel has a clear bit 0 and never counts.
-            stats.flush_writeback_bytes = (
-                int(np.count_nonzero(stack & 1)) * block_bytes
-            )
-    return stats
+    return misses, write_misses, holes, written_back, dirty_left
 
 
 # --------------------------------------------------------------------------
@@ -509,8 +408,8 @@ def direct_mapped_family(
     refines the permutation with a single stable bit partition (an LSD
     radix step), which reproduces ``np.argsort(blocks % sets, stable)``
     for that size exactly — so every per-size result is bit-identical to
-    :func:`~repro.mem.cache._simulate_direct_mapped_writeback` while the
-    O(n log n) sort is paid once for the whole axis.
+    :func:`_simulate_direct_mapped_writeback` while the O(n log n) sort
+    is paid once for the whole axis.
     """
     results: dict[int, CacheStats] = {}
     if not sizes_bytes:

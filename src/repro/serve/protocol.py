@@ -121,6 +121,31 @@ def _bool(value: object, field: str) -> bool:
     return value
 
 
+def _check_cache_shape(size: int, block: int, assoc: int) -> None:
+    """Refuse a cache shape the worker's ``CacheConfig`` would refuse.
+
+    Each stage adds one field to a shape the earlier stages accepted
+    (the size with a one-word block, then the block, then the
+    associativity), so the error names the first field that breaks it.
+    """
+    from repro.mem.cache import CacheConfig
+    from repro.trace.model import WORD_BYTES
+
+    stages = (
+        ("size", dict(size_bytes=size, block_bytes=WORD_BYTES)),
+        ("block", dict(size_bytes=size, block_bytes=block)),
+        (
+            "assoc",
+            dict(size_bytes=size, block_bytes=block, associativity=assoc),
+        ),
+    )
+    for field, shape in stages:
+        try:
+            CacheConfig(**shape)
+        except ConfigurationError as exc:
+            raise ProtocolError(f"field {field!r}: {exc}") from exc
+
+
 def normalize_simulate(body: object) -> dict:
     """Validate a simulate request body into its canonical form.
 
@@ -178,6 +203,7 @@ def normalize_simulate(body: object) -> dict:
         "mtc": _bool(merged["mtc"], "mtc"),
         "max_refs": _positive_int(merged["max_refs"], "max_refs"),
     }
+    _check_cache_shape(size_bytes, request["block"], request["assoc"])
     if spec is not None:
         # The canonical spec is the durable identity: equivalent
         # spellings produce the same normalised request, hence the same

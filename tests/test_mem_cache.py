@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.mem import engines
 from repro.mem.cache import (
     AllocatePolicy,
     Cache,
@@ -253,7 +254,7 @@ class TestFastPathEquivalence:
         config = CacheConfig(size_bytes=size, block_bytes=block)
         fast = Cache(config).simulate(trace)
         general_cache = Cache(config, listener=lambda *a: None)
-        assert not general_cache._fast_path_eligible()
+        assert not engines._dm_fast_eligible(config, general_cache.listener)
         general = general_cache.simulate(trace)
         for field in (
             "read_hits",

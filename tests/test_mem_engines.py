@@ -71,29 +71,50 @@ POLICY_COMBOS = [
 
 
 # --------------------------------------------------------------------------
-# Set-associative LRU column kernel
+# Set-associative LRU stack loop
 # --------------------------------------------------------------------------
 
+#: (size, block, associativity, replacement). At associativity 1 every
+#: combination but write-back/write-allocate runs through the stack loop,
+#: where any replacement policy's victim is forced; (512, 32, 16) is one
+#: fully-associative set; 256-byte blocks carry 64-word write-validate
+#: masks, 512-byte blocks 128-word ones.
+LOOP_GEOMETRIES = [
+    (256, 16, 2, "lru"),
+    (1024, 32, 4, "lru"),
+    (4096, 32, 8, "lru"),
+    (512, 64, 2, "lru"),
+    (256, 16, 1, "lru"),
+    (256, 16, 1, "fifo"),
+    (256, 16, 1, "random"),
+    (256, 16, 1, "min"),
+    (512, 32, 16, "lru"),
+    (512, 256, 1, "lru"),
+    (1024, 512, 2, "lru"),
+]
 
-@settings(max_examples=50, deadline=None)
+
+def loop_config(geometry, write_policy, allocate):
+    size, block, assoc, replacement = geometry
+    return CacheConfig(
+        size_bytes=size,
+        block_bytes=block,
+        associativity=assoc,
+        replacement=replacement,
+        write_policy=write_policy,
+        allocate=allocate,
+    )
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     trace=traces(),
-    geometry=st.sampled_from(
-        [(256, 16, 2), (1024, 32, 4), (4096, 32, 8), (512, 64, 2)]
-    ),
+    geometry=st.sampled_from(LOOP_GEOMETRIES),
     policies=st.sampled_from(POLICY_COMBOS),
     flush=st.booleans(),
 )
 def test_columns_match_scalar(trace, geometry, policies, flush):
-    size, block, assoc = geometry
-    write_policy, allocate = policies
-    config = CacheConfig(
-        size_bytes=size,
-        block_bytes=block,
-        associativity=assoc,
-        write_policy=write_policy,
-        allocate=allocate,
-    )
+    config = loop_config(geometry, *policies)
     scalar = Cache(config).simulate(trace, flush=flush, engine="scalar")
     vector = Cache(config).simulate(trace, flush=flush, engine="vector")
     assert stats_key(scalar) == stats_key(vector)
@@ -101,17 +122,21 @@ def test_columns_match_scalar(trace, geometry, policies, flush):
 
 def test_columns_match_scalar_dense_grid():
     """Deterministic sweep over every policy combo and several shapes."""
+    shapes = [
+        (256, 16, 2, "lru"),
+        (1024, 32, 4, "lru"),
+        (65536, 32, 4, "lru"),
+        (256, 16, 1, "lru"),
+        (256, 16, 1, "fifo"),
+        (256, 16, 1, "random"),
+        (1024, 32, 32, "lru"),
+        (1024, 512, 2, "lru"),
+    ]
     for kind in ("mix", "seq", "hot"):
         trace = make_trace(kind, 800, seed=11)
-        for size, block, assoc in ((256, 16, 2), (1024, 32, 4), (65536, 32, 4)):
+        for geometry in shapes:
             for write_policy, allocate in POLICY_COMBOS:
-                config = CacheConfig(
-                    size_bytes=size,
-                    block_bytes=block,
-                    associativity=assoc,
-                    write_policy=write_policy,
-                    allocate=allocate,
-                )
+                config = loop_config(geometry, write_policy, allocate)
                 scalar = Cache(config).simulate(trace, engine="scalar")
                 vector = Cache(config).simulate(trace, engine="vector")
                 assert stats_key(scalar) == stats_key(vector), (
@@ -199,18 +224,71 @@ def test_direct_mapped_family_matches_per_size(trace):
 @settings(max_examples=25, deadline=None)
 @given(trace=traces())
 def test_fully_associative_family_matches_per_size(trace):
+    """The one-pass family, the stack loop and the scalar loop agree."""
     family = engines.fully_associative_lru_family(trace, SIZES, block_bytes=32)
     for size in SIZES:
         config = CacheConfig(
             size_bytes=size, block_bytes=32, associativity=size // 32
         )
         scalar = Cache(config).simulate(trace, engine="scalar")
+        vector = Cache(config).simulate(trace, engine="vector")
         assert stats_key(family[size]) == stats_key(scalar), size
+        assert stats_key(vector) == stats_key(scalar), size
 
 
 # --------------------------------------------------------------------------
 # Engine selection
 # --------------------------------------------------------------------------
+
+#: The set-associative (size, associativity) pairs of the benchmark's
+#: serve-cold request grid (sizes 1-64 KB, 32-byte blocks).
+SERVE_COLD_SHAPES = [
+    (size, assoc) for size in (1024, 4096, 16384, 65536) for assoc in (2, 4)
+]
+
+
+def hot_set_trace(n: int = 20_000, seed: int = 4) -> MemTrace:
+    """80% of references on 64 blocks that map to set 0 at every
+    serve-cold shape (their block numbers are multiples of 1024, the
+    grid's largest set count); the rest spread thinly over other sets."""
+    rng = np.random.default_rng(seed)
+    hot = rng.integers(0, 64, size=n) * 1024 * 32
+    cold = rng.integers(0, 1 << 16, size=n) * 4
+    addrs = np.where(rng.random(n) < 0.8, hot, cold)
+    return MemTrace(
+        addrs.astype(np.int64), rng.random(n) < 0.3, name="hot-set"
+    )
+
+
+def test_auto_never_falls_back_for_eligible_configs(monkeypatch):
+    """No trace shape sends an eligible config to the per-access loop."""
+    trace = hot_set_trace()
+
+    def refuse(self, address, is_write):
+        raise AssertionError("auto fell back to Cache.access")
+
+    monkeypatch.setattr(Cache, "access", refuse)
+    for size, assoc in SERVE_COLD_SHAPES:
+        config = CacheConfig(
+            size_bytes=size, block_bytes=32, associativity=assoc
+        )
+        stats = Cache(config).simulate(trace, engine="auto")
+        assert stats.accesses == len(trace), (size, assoc)
+
+
+def test_listener_keeps_the_per_access_loop(monkeypatch):
+    trace = hot_set_trace()
+    calls = []
+    access = Cache.access
+
+    def counting(self, address, is_write):
+        calls.append(address)
+        return access(self, address, is_write)
+
+    monkeypatch.setattr(Cache, "access", counting)
+    config = CacheConfig(size_bytes=4096, block_bytes=32, associativity=4)
+    Cache(config, listener=lambda *args: None).simulate(trace, engine="auto")
+    assert len(calls) == len(trace)
 
 
 def test_engine_selection_roundtrip():

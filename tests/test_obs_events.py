@@ -135,15 +135,15 @@ class TestSimulatorIntegration:
         return get_workload("Espresso").generate(seed=seed, max_refs=refs)
 
     def _config(self):
-        # Two-way so the general (non-vectorized) path runs and emits
-        # per-eviction events.
+        # Two-way; runs that check per-eviction events ask for the
+        # per-access path (engine="scalar"), the only one that emits them.
         return CacheConfig(size_bytes=2048, block_bytes=32, associativity=2)
 
     def test_cache_simulate_records_counters_and_events(self):
         trace = self._trace()
         sink = MemorySink()
         with instrumented(sink=sink):
-            stats = Cache(self._config()).simulate(trace)
+            stats = Cache(self._config()).simulate(trace, engine="scalar")
             counters = OBS.registry.counter_values()
         assert counters["cache.simulations"] == 1
         assert counters["cache.accesses"] == stats.accesses
@@ -199,7 +199,7 @@ class TestSimulatorIntegration:
         def one_run():
             sink = MemorySink()
             with instrumented(sink=sink):
-                Cache(self._config()).simulate(self._trace())
+                Cache(self._config()).simulate(self._trace(), engine="scalar")
                 counters = OBS.registry.counter_values()
             return counters, sink.events
 

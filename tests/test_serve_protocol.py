@@ -79,6 +79,21 @@ class TestNormalizeSimulate:
         with pytest.raises(ProtocolError, match=field):
             normalize_simulate({"workload": "Espresso", field: value})
 
+    @pytest.mark.parametrize(
+        "shape,field",
+        [
+            ({"size": "1KB", "assoc": 64}, "assoc"),
+            ({"size": "1KB", "assoc": 3}, "assoc"),
+            ({"size": "3KB"}, "size"),
+            ({"size": "16B", "block": 32}, "block"),
+            ({"block": 2}, "block"),
+        ],
+    )
+    def test_impossible_cache_shapes_name_the_field(self, shape, field):
+        # Refused at admission: no job id, no scheduler slot, no trace.
+        with pytest.raises(ProtocolError, match=f"field '{field}'"):
+            normalize_simulate({"workload": "Espresso", **shape})
+
 
 class TestNormalizeSweep:
     def test_minimal(self):

@@ -361,6 +361,14 @@ class TestProtocolErrors:
             assert response.status == 400
             assert "JSON" in payload
 
+    def test_impossible_cache_shape_is_refused_before_queueing(self):
+        with running_server() as (_, client):
+            with pytest.raises(ProtocolError, match="field 'assoc'"):
+                client.submit_simulate(
+                    workload="Espresso", size="1KB", assoc=64
+                )
+            assert client.healthz()["jobs"] == {"evicted": 0}
+
     def test_unknown_job_is_404(self):
         with running_server() as (_, client):
             with pytest.raises(JobNotFound, match="result cache"):
