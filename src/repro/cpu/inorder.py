@@ -117,7 +117,7 @@ class InOrderCore:
             elif op == branch_op:
                 completion = issue + 1
             else:
-                completion = issue + OP_LATENCY[OpClass(op)]
+                completion = issue + OP_LATENCY[op]
 
             dest = dests[index]
             if dest != NO_REG:

@@ -29,18 +29,19 @@ class OpClass(enum.IntEnum):
     BRANCH = 7
 
 
-#: Execution latency in cycles for non-memory classes (memory latency is
-#: supplied by the memory model). Typical early-90s pipeline values.
-OP_LATENCY: dict[OpClass, int] = {
-    OpClass.INT_ALU: 1,
-    OpClass.INT_MUL: 3,
-    OpClass.FP_ALU: 2,
-    OpClass.FP_MUL: 4,
-    OpClass.FP_DIV: 12,
-    OpClass.LOAD: 1,    # address generation; cache time added by the core
-    OpClass.STORE: 1,
-    OpClass.BRANCH: 1,
-}
+#: Execution latency in cycles, indexed by :class:`OpClass` value so the
+#: cores index it with each instruction's raw int op class (memory latency
+#: is supplied by the memory model). Typical early-90s pipeline values.
+OP_LATENCY: tuple[int, ...] = (
+    1,   # INT_ALU
+    3,   # INT_MUL
+    2,   # FP_ALU
+    4,   # FP_MUL
+    12,  # FP_DIV
+    1,   # LOAD: address generation; cache time added by the core
+    1,   # STORE
+    1,   # BRANCH
+)
 
 #: Register file size used by the synthetic dependency weaver.
 NUM_REGS = 64

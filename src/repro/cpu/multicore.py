@@ -25,7 +25,6 @@ from repro.cpu.configs import ExperimentConfig, experiment
 from repro.cpu.isa import NO_REG, NUM_REGS, OP_LATENCY, InstructionTrace, OpClass
 from repro.cpu.itrace import instruction_trace_for_workload
 from repro.errors import ConfigurationError
-from repro.mem.cache import Cache
 from repro.mem.timing import MemoryMode, TimingMemory
 from repro.obs import OBS
 from repro.workloads.base import DEFAULT_SCALE, SyntheticWorkload
@@ -37,16 +36,35 @@ CORE_ADDRESS_STRIDE = 1 << 32
 class _SharedL2Memory(TimingMemory):
     """A TimingMemory whose L1 is per-core but L2/buses are shared.
 
-    Implemented by giving each core its own functional L1 while routing
-    every L1 miss through the shared instance's L2 state and buses. The
-    shared instance's own L1 is unused.
+    Each core owns per-set L1 state like the shared instance's (whose own
+    L1 is unused). Every L1 miss and every dirty L1 victim goes through
+    the shared L2, MSHRs and buses by the same fill and write-back path
+    as a one-core TimingMemory.
     """
 
-    def l1_for_core(self, core_index: int) -> Cache:
-        key = f"_core_l1_{core_index}"
-        if not hasattr(self, key):
-            setattr(self, key, Cache(self.params.l1_config))
-        return getattr(self, key)
+    def core_l1(self) -> list[dict[int, bool]]:
+        """Fresh, empty L1 state for one core."""
+        return [{} for _ in range(len(self._l1))]
+
+    def core_access(
+        self, l1: list[dict[int, bool]], time: int, address: int, is_write: bool
+    ) -> int:
+        """One core's data access through its own L1 *l1*; returns the
+        completion cycle."""
+        params = self.params
+        self.stats.accesses += 1
+        block = address // params.l1_config.block_bytes
+        lines = l1[block % len(l1)]
+        dirty = lines.pop(block, None)
+        if dirty is not None:
+            lines[block] = dirty or is_write
+            return time + params.l1_hit_cycles
+        self.stats.l1_misses += 1
+        self._now = time
+        fill_time = self._fill(lines, self._allocate_mshr(time), block, is_write)
+        if is_write:
+            return time + params.l1_hit_cycles
+        return max(time + params.l1_hit_cycles, fill_time)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,29 +166,11 @@ class ChipMultiprocessor:
                     "predictor": TwoLevelPredictor(
                         processor.branch_table_entries
                     ),
-                    "l1": shared.l1_for_core(core),
+                    "l1": shared.core_l1(),
                     "offset": core * CORE_ADDRESS_STRIDE,
                     "last": 0,
                 }
             )
-
-        def mem_access(core_state, time, address, is_write):
-            """Per-core L1 probe, shared L2/buses below."""
-            l1: Cache = core_state["l1"]
-            shared.stats.accesses += 1
-            block = address // params.l1_config.block_bytes
-            if l1.contains(address):
-                l1.access(address, is_write)
-                return time + params.l1_hit_cycles
-            shared.stats.l1_misses += 1
-            shared._now = time
-            start = shared._allocate_mshr(time)
-            fill_time, release = shared._fetch_into_l1(start, address)
-            shared._register_mshr(block + core_state["offset"], fill_time, release)
-            l1.access(address, is_write)
-            if is_write:
-                return time + params.l1_hit_cycles
-            return max(time + params.l1_hit_cycles, fill_time)
 
         for index in range(n):
             for core_state in state:
@@ -200,8 +200,8 @@ class ChipMultiprocessor:
 
                 op = opclasses[index]
                 if op == load_op or op == store_op:
-                    completion = mem_access(
-                        core_state,
+                    completion = shared.core_access(
+                        core_state["l1"],
                         ready,
                         addresses[index] + core_state["offset"],
                         op == store_op,
@@ -209,7 +209,7 @@ class ChipMultiprocessor:
                 elif op == branch_op:
                     completion = ready + 1
                 else:
-                    completion = ready + OP_LATENCY[OpClass(op)]
+                    completion = ready + OP_LATENCY[op]
 
                 dest = dests[index]
                 if dest != NO_REG:

@@ -148,7 +148,7 @@ class OutOfOrderCore:
             elif op == branch_op:
                 completion = issue + 1
             else:
-                completion = issue + OP_LATENCY[OpClass(op)]
+                completion = issue + OP_LATENCY[op]
 
             dest = dests[index]
             if dest != NO_REG:

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.mem.cache import Cache, CacheConfig
+from repro.mem.cache import CacheConfig
 from repro.obs import OBS
-from repro.trace.model import WORD_BYTES
 
 
 class MemoryMode(enum.Enum):
@@ -81,12 +80,11 @@ class TimingBus:
 
         ``first_beat_done`` is when the critical word is available (the
         paper assumes critical-word-first); ``all_done`` is when the bus
-        frees. In infinite mode both equal *request_time* — an infinitely
-        wide path moves any block instantaneously and never queues.
+        frees. An infinite bus moves any block in one bus beat, never
+        queues and keeps no state, so both are one beat after
+        *request_time*.
         """
         if self.infinite:
-            # Infinitely wide: the whole block moves in one bus beat and
-            # the bus never queues.
             done = request_time + self.spec.proc_cycles_per_beat
             return done, done
         start = max(request_time, self.next_free)
@@ -127,6 +125,18 @@ class TimingMemoryParams:
             raise ConfigurationError("L1 hit time must be positive")
         if self.mshr_count <= 0:
             raise ConfigurationError("need at least one MSHR")
+        # TimingMemory keeps its own cache state and implements only these.
+        for level, cache in (("L1", self.l1_config), ("L2", self.l2_config)):
+            for name, value, supported in (
+                ("replacement", cache.replacement.lower(), "lru"),
+                ("write_policy", cache.write_policy.value, "writeback"),
+                ("allocate", cache.allocate.value, "write-allocate"),
+            ):
+                if value != supported:
+                    raise ConfigurationError(
+                        f"timing memory {level} {name} must be "
+                        f"{supported}, got {value}"
+                    )
 
 
 @dataclass(slots=True)
@@ -145,9 +155,14 @@ class TimingMemoryStats:
 class TimingMemory:
     """The full memory system as seen by one core.
 
-    The functional cache state (what hits, what gets evicted) is identical
-    across the three modes — only timing differs — so T_P, T_I and T are
-    measured over the same miss stream, as the decomposition requires.
+    Each cache level is a list with one insertion-ordered dict per set,
+    mapping a resident block to its dirty flag, least recently used first.
+
+    Without prefetch, the infinite and full runs see the same hits, misses
+    and traffic, so T_I and T measure one miss stream. With tagged
+    prefetch they do not: a prefetch that finds no free MSHR is dropped,
+    the buses set MSHR release times, and the full run drops more. A
+    prefetching experiment's f_B includes the prefetch lost to bandwidth.
     """
 
     def __init__(self, params: TimingMemoryParams, mode: MemoryMode) -> None:
@@ -155,43 +170,17 @@ class TimingMemory:
         self.mode = mode
         self.stats = TimingMemoryStats()
         infinite = mode is not MemoryMode.FULL
-        self._l1 = Cache(params.l1_config, listener=self._on_l1_event)
-        self._l2 = Cache(params.l2_config, listener=self._on_l2_event)
+        self._l1 = [{} for _ in range(params.l1_config.num_sets)]
+        self._l2 = [{} for _ in range(params.l2_config.num_sets)]
         self._l1_l2 = TimingBus(params.l1_l2_bus, infinite=infinite, name="l1_l2")
         self._l2_mem = TimingBus(params.l2_mem_bus, infinite=infinite, name="l2_mem")
         self._now = 0
-        self._in_l1_writeback = False
         #: Outstanding fills: block -> (fill_time, mshr_release_time).
         self._outstanding: dict[int, tuple[int, int]] = {}
         #: Release times of allocated MSHRs (kept sorted lazily).
         self._mshr_release: list[int] = []
         #: Tag bits for the tagged prefetcher: prefetched, not yet demanded.
         self._prefetch_tags: set[int] = set()
-
-    # -- traffic listeners -------------------------------------------------------------
-
-    def _on_l1_event(self, kind: str, address: int, nbytes: int) -> None:
-        """Dirty L1 evictions go down to L2: functional write + bus time."""
-        if kind not in ("writeback", "flush"):
-            return
-        self.stats.l1_l2_traffic_bytes += nbytes
-        if self.mode is MemoryMode.FULL:
-            self._l1_l2.transfer(self._now, nbytes)
-        self._in_l1_writeback = True
-        try:
-            self._l2.access(address, True)
-        finally:
-            self._in_l1_writeback = False
-
-    def _on_l2_event(self, kind: str, address: int, nbytes: int) -> None:
-        """L2 write-backs — and fetches forced by write-allocating an L1
-        write-back — occupy the memory bus."""
-        if kind in ("writeback", "flush") or (
-            kind == "fetch" and self._in_l1_writeback
-        ):
-            self.stats.l2_mem_traffic_bytes += nbytes
-            if self.mode is MemoryMode.FULL:
-                self._l2_mem.transfer(self._now, nbytes)
 
     # -- public API -------------------------------------------------------------------
 
@@ -210,9 +199,10 @@ class TimingMemory:
         self._now = time
         params = self.params
         block = address // params.l1_config.block_bytes
-        l1_hit = self._l1.contains(address)
-        if l1_hit:
-            self._touch_l1(address, is_write)
+        lines = self._l1[block % len(self._l1)]
+        dirty = lines.pop(block, None)
+        if dirty is not None:
+            lines[block] = dirty or is_write
             completion = time + params.l1_hit_cycles
             pending = self._outstanding.get(block)
             if pending is not None and pending[0] > time and not is_write:
@@ -225,20 +215,16 @@ class TimingMemory:
             if params.tagged_prefetch and block in self._prefetch_tags:
                 # First demand reference to a prefetched block: tag fires.
                 self._prefetch_tags.discard(block)
-                self._issue_prefetch(time, (block + 1) * params.l1_config.block_bytes)
+                self._issue_prefetch(time, block + 1)
             return completion
 
         # ---- L1 miss ----
         self.stats.l1_misses += 1
         if OBS.enabled:
             OBS.count("timing.l1_misses")
-
-        start = self._allocate_mshr(time)
-        fill_time, release = self._fetch_into_l1(start, address)
-        self._register_mshr(block, fill_time, release)
-        self._touch_l1_fill(address, is_write)
+        fill_time = self._fill(lines, self._allocate_mshr(time), block, is_write)
         if params.tagged_prefetch:
-            self._issue_prefetch(time, (block + 1) * params.l1_config.block_bytes)
+            self._issue_prefetch(time, block + 1)
         if is_write:
             return time + params.l1_hit_cycles
         return max(time + params.l1_hit_cycles, fill_time)
@@ -253,13 +239,6 @@ class TimingMemory:
         )
 
     # -- internals ---------------------------------------------------------------------
-
-    def _touch_l1(self, address: int, is_write: bool) -> None:
-        self._l1.access(address, is_write)
-
-    def _touch_l1_fill(self, address: int, is_write: bool) -> None:
-        """Update functional L1 state for a miss (fills the block)."""
-        self._l1.access(address, is_write)
 
     def _allocate_mshr(self, time: int) -> int:
         """Earliest time an MSHR is available at or after *time*.
@@ -286,49 +265,72 @@ class TimingMemory:
         self._mshr_release.append(release)
         # Retire completed outstanding entries opportunistically.
         if len(self._outstanding) > 4 * self.params.mshr_count + 8:
-            horizon = fill_time
             self._outstanding = {
-                b: (f, r)
-                for b, (f, r) in self._outstanding.items()
-                if r > horizon - 1
+                b: fr for b, fr in self._outstanding.items() if fr[1] >= fill_time
             }
 
-    def _fetch_into_l1(self, time: int, address: int) -> tuple[int, int]:
-        """Move the block containing *address* into L1; returns
-        (critical-word time, MSHR release time)."""
+    def _fill(self, lines: dict, time: int, block: int, dirty: bool) -> int:
+        """Fetch L1 *block* from *time* on (via memory on an L2 miss), hold
+        its MSHR and install it in *lines*; returns the critical-word time."""
         params = self.params
         l1_block = params.l1_config.block_bytes
-        block_addr = (address // l1_block) * l1_block
-
-        l2_ready = time + params.l2_access_cycles
-        if self._l2.contains(block_addr):
-            self._l2.access(block_addr, False)
-            data_at_l2 = l2_ready
-        else:
+        l2_block = params.l2_config.block_bytes
+        line = block * l1_block // l2_block
+        l2_lines = self._l2[line % len(self._l2)]
+        data_at_l2 = time + params.l2_access_cycles
+        l2_dirty = l2_lines.pop(line, None)
+        if l2_dirty is None:
             self.stats.l2_misses += 1
             if OBS.enabled:
                 OBS.count("timing.l2_misses")
-            self._l2.access(block_addr, False)
-            l2_block = params.l2_config.block_bytes
-            mem_done_first, mem_done_all = self._l2_mem.transfer(
-                l2_ready + params.memory_access_cycles, l2_block
+            self._make_room(l2_lines, params.l2_config, self._to_memory)
+            data_at_l2, _ = self._l2_mem.transfer(
+                data_at_l2 + params.memory_access_cycles, l2_block
             )
             self.stats.l2_mem_traffic_bytes += l2_block
-            data_at_l2 = mem_done_first
-            del mem_done_all
-
-        first, all_done = self._l1_l2.transfer(data_at_l2, l1_block)
+            l2_dirty = False
+        l2_lines[line] = l2_dirty
         self.stats.l1_l2_traffic_bytes += l1_block
-        return first, all_done
+        fill_time, release = self._l1_l2.transfer(data_at_l2, l1_block)
+        self._register_mshr(block, fill_time, release)
+        self._make_room(lines, params.l1_config, self._write_back)
+        lines[block] = dirty
+        return fill_time
 
-    def _issue_prefetch(self, time: int, address: int) -> None:
-        """Tagged prefetch of the next sequential block (best effort)."""
+    def _make_room(self, lines: dict, config: CacheConfig, write_back) -> None:
+        """Evict a full set's LRU line, a dirty one via *write_back*."""
+        if len(lines) >= config.associativity:
+            victim = next(iter(lines))
+            dirty = lines.pop(victim)
+            if dirty:
+                write_back(victim)
+            if OBS.enabled and OBS.sink.enabled:
+                OBS.emit("cache.evict", cache=config.name, block=victim, dirty=dirty)
+
+    def _write_back(self, block: int) -> None:
+        """A dirty L1 victim: over the L1/L2 bus, written into L2."""
         params = self.params
-        block = address // params.l1_config.block_bytes
-        if self._l1.contains(address) or block in self._outstanding:
+        l1_block = params.l1_config.block_bytes
+        self.stats.l1_l2_traffic_bytes += l1_block
+        self._l1_l2.transfer(self._now, l1_block)
+        line = block * l1_block // params.l2_config.block_bytes
+        lines = self._l2[line % len(self._l2)]
+        if lines.pop(line, None) is None:
+            self._to_memory(line)
+            self._make_room(lines, params.l2_config, self._to_memory)
+        lines[line] = True
+
+    def _to_memory(self, line: int) -> None:
+        """One L2 block over the memory bus (write-back or write miss)."""
+        self.stats.l2_mem_traffic_bytes += self.params.l2_config.block_bytes
+        self._l2_mem.transfer(self._now, self.params.l2_config.block_bytes)
+
+    def _issue_prefetch(self, time: int, block: int) -> None:
+        """Tagged prefetch of L1 *block* (best effort)."""
+        lines = self._l1[block % len(self._l1)]
+        if block in lines or block in self._outstanding:
             return
-        releases = [r for r in self._mshr_release if r > time]
-        if len(releases) >= params.mshr_count:
+        if sum(r > time for r in self._mshr_release) >= self.params.mshr_count:
             # No MSHR to spare: drop rather than stall the processor.
             self.stats.prefetches_dropped += 1
             if OBS.enabled:
@@ -337,9 +339,7 @@ class TimingMemory:
         self.stats.prefetches_issued += 1
         if OBS.enabled:
             OBS.count("prefetch.issued")
-        fill_time, release = self._fetch_into_l1(time, address)
-        self._register_mshr(block, fill_time, release)
-        self._l1.access(address, False)
+        self._fill(lines, time, block, False)
         self._prefetch_tags.add(block)
         if len(self._prefetch_tags) > 4096:
             self._prefetch_tags.clear()

@@ -4,8 +4,13 @@ import pytest
 
 from repro.cpu.configs import experiment
 from repro.cpu.itrace import instruction_trace_for_workload
-from repro.cpu.multicore import ChipMultiprocessor, cmp_scaling
+from repro.cpu.multicore import (
+    ChipMultiprocessor,
+    _SharedL2Memory,
+    cmp_scaling,
+)
 from repro.errors import ConfigurationError
+from repro.mem.timing import MemoryMode
 from repro.workloads import get_workload
 
 
@@ -39,6 +44,24 @@ class TestChipMultiprocessor:
         two = ChipMultiprocessor(config, 2).run(swm_trace)
         four = ChipMultiprocessor(config, 4).run(swm_trace)
         assert four.per_core_slowdown >= two.per_core_slowdown
+
+
+class TestSharedL2Memory:
+    def test_dirty_l1_victim_is_written_back_to_the_shared_l2(self):
+        params = experiment("F").timing_memory_params()
+        shared = _SharedL2Memory(params, MemoryMode.FULL)
+        l1 = shared.core_l1()
+        block_bytes = params.l1_config.block_bytes
+        shared.core_access(l1, 0, 0, True)  # store miss: block 0 dirty
+        # The same direct-mapped L1 set: evicts dirty block 0.
+        shared.core_access(l1, 1000, params.l1_config.size_bytes, False)
+        # Two fills and one write-back cross the shared L1/L2 bus ...
+        assert shared.stats.l1_l2_traffic_bytes == 3 * block_bytes
+        assert shared._l1_l2.busy_cycles == 3 * (
+            params.l1_l2_bus.occupancy_cycles(block_bytes)
+        )
+        # ... and the write-back leaves L2 line 0 dirty.
+        assert shared._l2[0][0] is True
 
 
 class TestCmpScaling:

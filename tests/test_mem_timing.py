@@ -1,9 +1,11 @@
 """Tests for the timing memory system (buses, MSHRs, prefetch, modes)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mem.cache import CacheConfig
+from repro.mem.cache import AllocatePolicy, CacheConfig, WritePolicy
 from repro.mem.timing import (
     BusSpec,
     MemoryMode,
@@ -181,6 +183,24 @@ class TestValidation:
     def test_zero_hit_time_rejected(self):
         with pytest.raises(ConfigurationError):
             params(l1_hit_cycles=0)
+
+    @pytest.mark.parametrize("level", ["L1", "L2"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("write_policy", WritePolicy.WRITETHROUGH),
+            ("allocate", AllocatePolicy.NO_ALLOCATE),
+            ("allocate", AllocatePolicy.WRITE_VALIDATE),
+            ("replacement", "fifo"),
+        ],
+    )
+    def test_policies_it_cannot_time_are_refused(self, level, field, value):
+        # The timing memory implements LRU, write-back and write-allocate
+        # only; anything else would be timed and counted wrongly.
+        key = f"{level.lower()}_config"
+        config = dataclasses.replace(getattr(params(), key), **{field: value})
+        with pytest.raises(ConfigurationError, match=f"{level} {field}"):
+            params(**{key: config})
 
     def test_busy_fraction(self):
         memory = TimingMemory(params(), MemoryMode.FULL)
