@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.runner import ScaledAxis
+from repro.mem import engines
 from repro.mem.cache import AllocatePolicy, Cache, CacheConfig
 from repro.mem.mtc import MinimalTrafficCache, MTCConfig
 from repro.trace.model import MemTrace
@@ -52,11 +53,16 @@ def _cache_traffic(trace: MemTrace, size: int, block: int) -> int:
     return Cache(config).simulate(trace).total_traffic_bytes
 
 
-def _mtc_traffic(trace: MemTrace, size: int, allocate: AllocatePolicy) -> int:
+def _mtc_traffic(
+    trace: MemTrace,
+    size: int,
+    allocate: AllocatePolicy,
+    prepared: engines.PreparedMTC,
+) -> int:
     mtc = MinimalTrafficCache(
         MTCConfig(size_bytes=size, allocate=allocate, bypass=True)
     )
-    return mtc.simulate(trace).total_traffic_bytes
+    return mtc.simulate(trace, prepared=prepared).total_traffic_bytes
 
 
 def run(
@@ -89,19 +95,27 @@ def run(
                     continue
                 series.append(_cache_traffic(trace, simulated, block))
             cache_series[block] = series
+        # One MTC pass 1 serves both policies at every size.
+        prepared = engines.prepare_mtc(trace)
         panels[name] = Figure4Panel(
             benchmark=name,
             sizes=sizes,
             cache_series=cache_series,
             mtc_write_allocate=[
                 _mtc_traffic(
-                    trace, axis.simulated_size(s), AllocatePolicy.WRITE_ALLOCATE
+                    trace,
+                    axis.simulated_size(s),
+                    AllocatePolicy.WRITE_ALLOCATE,
+                    prepared,
                 )
                 for s in sizes
             ],
             mtc_write_validate=[
                 _mtc_traffic(
-                    trace, axis.simulated_size(s), AllocatePolicy.WRITE_VALIDATE
+                    trace,
+                    axis.simulated_size(s),
+                    AllocatePolicy.WRITE_VALIDATE,
+                    prepared,
                 )
                 for s in sizes
             ],

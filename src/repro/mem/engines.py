@@ -16,9 +16,9 @@ equality):
   Direct-mapped write-back/write-allocate caches take a vectorized
   kernel instead: one stable sort by set and array comparisons.
 * :func:`simulate_mtc_fast` — the minimal-traffic cache's Belady MIN
-  with a vectorized next-use pass and batched hit accounting: runs of
-  hits between misses are counted with array reductions, and only the
-  misses (where the lazy victim heap is consulted) run in Python.
+  with a vectorized next-use pass, a closed-form fill, and a Python
+  loop over only the misses that can change the cache (single-use
+  words after the fill are counted, not visited).
 * :func:`direct_mapped_family` / :func:`fully_associative_lru_family` —
   one-pass multi-size sweeps. The direct-mapped family shares one stable
   sort across the whole size axis (each doubling refines the previous
@@ -548,26 +548,7 @@ class PreparedMTC:
     is_write: np.ndarray     #: per-reference write flag (bool)
     #: Sorted positions of each block's first reference (always misses).
     first_positions: np.ndarray
-    #: write_prefix[p] = number of writes before position p (len n + 1).
-    write_prefix: np.ndarray
     num_blocks: int          #: distinct blocks in the trace
-    _lists: tuple[list, list, list] | None = None
-
-    def as_lists(self) -> tuple[list, list, list]:
-        """(dense, next_use, is_write) as plain lists, memoized.
-
-        Python-level indexing is ~3x cheaper on lists than on numpy
-        scalars; the short-run fallback of :func:`simulate_mtc_fast` is
-        hot enough for that to matter, and memoizing on the prepared
-        pass shares the conversion across a whole size sweep.
-        """
-        if self._lists is None:
-            self._lists = (
-                self.dense.tolist(),
-                self.next_use.tolist(),
-                self.is_write.tolist(),
-            )
-        return self._lists
 
 
 def prepare_mtc(trace: MemTrace, block_bytes: int = WORD_BYTES) -> PreparedMTC:
@@ -588,15 +569,12 @@ def prepare_mtc(trace: MemTrace, block_bytes: int = WORD_BYTES) -> PreparedMTC:
         first_positions = np.sort(order[heads])
     else:
         first_positions = np.empty(0, dtype=np.int64)
-    write_prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(trace.is_write, out=write_prefix[1:])
     return PreparedMTC(
         block_bytes=block_bytes,
         dense=dense,
         next_use=next_use,
         is_write=trace.is_write,
         first_positions=first_positions,
-        write_prefix=write_prefix,
         num_blocks=int(uniq.size),
     )
 
@@ -611,6 +589,11 @@ def mtc_fast_supported(config: MTCConfig) -> str | None:
     return None
 
 
+#: Hit runs at least this long are handled with array operations; below
+#: it, numpy's per-call overhead beats its throughput.
+_NUMPY_RUN = 32
+
+
 def simulate_mtc_fast(
     config: MTCConfig,
     trace: MemTrace,
@@ -621,24 +604,42 @@ def simulate_mtc_fast(
     """Fast word-granularity MTC simulation (exact Belady MIN + bypass).
 
     Pass 1 is fully vectorized (and shareable across sizes through
-    *prepared*). Pass 2 *jumps from miss to miss*: in a MIN cache with
-    bypass, every future miss is predictable online — a reference misses
-    iff it is its block's first touch, or its block's previous reference
-    was bypassed, or the block was evicted since (and an evicted or
-    bypassed block's next reference is known: it is the next-use chain
-    value that made it the victim). The engine pre-marks first touches
-    on a byte timeline and marks each induced miss with one store at
-    the eviction/bypass that causes it, so finding the next miss is one
-    C-level ``bytearray.find`` (memchr), and everything strictly between
-    consecutive misses is a hit run:
-    hit counts come from a prefix sum of writes, dirty marking is one
-    boolean scatter, and the victim heap's refresh entries are exactly
-    the run positions whose next use lies beyond the run (each block's
-    last occurrence in the run — one push per distinct block, no
-    residency checks anywhere). Keys must be every resident block's
-    *current* next use: an earlier revision kept insert-time keys as
-    lower bounds, and a heap ordered by lower bounds can bury the true
-    MIN victim below a fresher-looking top.
+    *prepared*). Pass 2 visits only the misses that can change the cache,
+    on three exact facts:
+
+    * **The fill has a closed form.** Until the C-th distinct word
+      arrives (position F), nothing is evicted or bypassed, so the misses
+      are the first touches, and they, the dirty flags and the resident
+      set with its next-use keys are array reductions over ``[0, F]``;
+      the victim heap is built with one ``heapify``. When the MTC holds
+      every distinct word, F is the last reference and no loop runs.
+    * **After F the MTC stays full.** With bypass on, a word referenced
+      only once is then always bypassed and changes nothing, so its
+      position is dropped before the loop (the next-use chains are
+      renumbered; positions and dense ids keep their order, so heap ties
+      break as before) and only counted as a miss. Any later miss whose
+      next use is NEVER is bypassed without a heap scan.
+    * **The loop jumps from miss to miss.** A reference misses iff it is
+      its word's first touch, or its word's previous reference was
+      bypassed, or the word was evicted since; an evicted or bypassed
+      word's next reference is the next-use chain value that decided it.
+      First touches are pre-marked on a byte timeline and each induced
+      miss is marked with one store when it is caused, so the next miss
+      is one C-level ``bytearray.find`` away. Everything strictly between
+      two misses is a hit run: it only marks words dirty and pushes the
+      new key of each word's last occurrence in the run. The miss counts
+      are read off the timeline afterwards, and the hit counts follow.
+
+    The state is a heap and a bytearray of dirty flags (a word is dirty
+    only while resident). A heap entry is one int, ``w - (use <<
+    shift)``, that orders like ``(-use, w)``; a live entry's key is its
+    resident word's *current* next use, since a heap ordered by stale
+    lower bounds can bury the true MIN victim below a fresher-looking
+    top. An entry goes stale when its word is referenced at ``use``, and
+    an evicted word's live entry is the heap top popped with it. So at a
+    miss every stale entry's ``use`` lies before the miss and every live
+    one's after it: the top is always live, and stale entries stay buried
+    without a per-word key table or a stale check.
     """
     import heapq
 
@@ -652,6 +653,11 @@ def simulate_mtc_fast(
             f"prepared pass for {prepared.block_bytes}-byte blocks reused "
             f"at {config.block_bytes}-byte blocks"
         )
+    elif prepared.dense.size != len(trace):
+        raise ConfigurationError(
+            f"prepared pass for {prepared.dense.size} references reused "
+            f"on a {len(trace)}-reference trace"
+        )
 
     n = int(prepared.dense.size)
     stats = CacheStats(
@@ -661,142 +667,140 @@ def simulate_mtc_fast(
         return stats
 
     write_validate = config.allocate is AllocatePolicy.WRITE_VALIDATE
-    capacity = config.capacity_blocks
+    allow_bypass = config.bypass
     num_blocks = prepared.num_blocks
     dense = prepared.dense
-    is_write = prepared.is_write
-
-    if capacity >= num_blocks:
-        # The MTC never fills: every miss is a first touch, nothing is
-        # ever evicted or bypassed. Closed form, no loop at all.
-        cold_writes = int(np.count_nonzero(is_write[prepared.first_positions]))
-        cold_reads = num_blocks - cold_writes
-        stats.read_hits = stats.reads - cold_reads
-        stats.write_hits = stats.writes - cold_writes
-        fetch_words = cold_reads if write_validate else num_blocks
-        stats.fetch_bytes = fetch_words * WORD_BYTES
-        if flush:
-            dirty = np.zeros(num_blocks, dtype=bool)
-            dirty[dense[is_write]] = True
-            stats.flush_writeback_bytes = (
-                int(np.count_nonzero(dirty)) * WORD_BYTES
-            )
-        return stats
-
     next_use = prepared.next_use
-    dense_l, next_l, write_l = prepared.as_lists()
-    allow_bypass = config.bypass
-    resident = np.zeros(num_blocks, dtype=bool)
-    dirty = np.zeros(num_blocks, dtype=bool)
-    current_use = np.zeros(num_blocks, dtype=np.int64)
-    write_prefix = prepared.write_prefix
-    #: miss_flag[p] is nonzero iff position p will miss; first touches are
-    #: pre-marked, induced misses get marked as their causes happen. A
-    #: bytearray keeps single-flag stores cheap while "next miss after p"
-    #: stays one C-level memchr via ``bytearray.find``.
-    first_flags = np.zeros(n, dtype=np.uint8)
-    first_flags[prepared.first_positions] = 1
-    miss_flag = bytearray(first_flags.tobytes())
-    find_flag = miss_flag.find
-    resident_count = 0
-    heap: list[tuple[int, int]] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
+    is_write = prepared.is_write
+    first_positions = prepared.first_positions
 
-    read_hits = 0
-    write_hits = 0
-    fetch_words = 0
+    # ---- fill: references [0, F], every miss a first touch ----
+    filled = min(config.capacity_blocks, num_blocks)
+    if filled == num_blocks:
+        fill_end = n
+    else:
+        fill_end = int(first_positions[filled - 1]) + 1
+    misses = filled
+    write_misses = int(np.count_nonzero(is_write[first_positions[:filled]]))
     writeback_words = 0
-    writethrough_words = 0
+    writethrough_words = 0  # bypassed writes
+    dirty = bytearray(num_blocks)
+    dirty_view = np.frombuffer(dirty, dtype=np.uint8)
+    if fill_end < n or flush:
+        dirty_view[dense[:fill_end][is_write[:fill_end]]] = 1
 
-    position = 0  # always a miss (the first reference is a first touch)
-    while True:
-        block = dense_l[position]
-        write = write_l[position]
-        use = next_l[position]
-        inserting = True
-        if resident_count >= capacity:
-            while heap:
-                negated, candidate = heap[0]
-                if resident[candidate] and current_use[candidate] == -negated:
-                    break
-                heappop(heap)  # stale or evicted entry
+    if fill_end < n:
+        # ---- after F: drop single-use words, renumber the chains ----
+        late = first_positions[filled:]
+        if allow_bypass:
+            single = next_use[late] == NEVER
+            dropped = late[single]
+            late = late[~single]
+            writethrough_words = int(np.count_nonzero(is_write[dropped]))
+            misses += dropped.size
+            write_misses += writethrough_words
+        else:
+            dropped = late[:0]
+        keep = np.ones(n - fill_end + 1, dtype=bool)
+        keep[dropped - fill_end] = False
+        # local[p - fill_end] is kept position p's index on the loop's
+        # timeline; the extra last slot maps NEVER to one past its end.
+        local = np.cumsum(keep) - 1
+        kept = np.flatnonzero(keep[:-1]) + fill_end
+        span = int(local[-1])
+        tail_dense = dense[kept]
+        tail_write = is_write[kept]
+        tail_next = local[np.minimum(next_use[kept], n) - fill_end]
+
+        # Resident words at F: each one's last occurrence in the fill.
+        last = np.flatnonzero(next_use[:fill_end] >= fill_end)
+        resident = dense[last]
+        resident_next = local[np.minimum(next_use[last], n) - fill_end]
+        shift = num_blocks.bit_length()
+        mask = (1 << shift) - 1
+        heap = (resident - (resident_next << shift)).tolist()
+        heapq.heapify(heap)
+
+        # miss_flag[p] is 1 iff position p misses: first touches are
+        # pre-marked, induced misses are marked when they are caused.
+        miss_flag = bytearray(span)
+        missed = np.frombuffer(miss_flag, dtype=bool)
+        missed[local[late - fill_end]] = True
+        find_flag = miss_flag.find
+        dense_l = tail_dense.tolist()
+        next_l = tail_next.tolist()
+        write_l = tail_write.tolist()
+        tail_entry = tail_dense - (tail_next << shift)
+        entry_l = tail_entry.tolist()
+        heappush = heapq.heappush
+        heapreplace = heapq.heapreplace
+
+        start = 0
+        while True:
+            following = find_flag(1, start)
+            if following < 0:
+                following = span
+            # ---- hit run [start, following): dirty marks, new keys ----
+            if following - start >= _NUMPY_RUN:
+                written = tail_write[start:following]
+                if written.any():
+                    dirty_view[tail_dense[start:following][written]] = 1
+                # The run positions whose next use escapes the run are
+                # each word's last occurrence within it.
+                rel = start + np.flatnonzero(
+                    tail_next[start:following] >= following
+                )
+                for entry in tail_entry[rel].tolist():
+                    heappush(heap, entry)
+            else:
+                for pos in range(start, following):
+                    if write_l[pos]:
+                        dirty[dense_l[pos]] = 1
+                    if next_l[pos] >= following:
+                        heappush(heap, entry_l[pos])
+            if following >= span:
+                break
+
+            # ---- the miss at `following` ----
+            start = following + 1
+            use = next_l[following]
+            if allow_bypass and use == span:
+                # No future use: bypassed whatever the victim is.
+                writethrough_words += write_l[following]
+                continue
             if not heap:
                 raise SimulationError("full MTC with an empty victim heap")
-            victim_use = -heap[0][0]
+            top = heap[0]  # always live: see the docstring
+            victim = top & mask
+            victim_use = (victim - top) >> shift
             if allow_bypass and use >= victim_use:
-                inserting = False
-            else:
-                victim = heap[0][1]
-                heappop(heap)
-                resident[victim] = False
-                resident_count -= 1
-                if dirty[victim]:
-                    writeback_words += 1
-                    dirty[victim] = False
-                if victim_use < n:
-                    miss_flag[victim_use] = 1
-        if inserting:
-            resident[block] = True
-            resident_count += 1
-            dirty[block] = write
-            current_use[block] = use
-            if not (write and write_validate):
-                fetch_words += 1
-            heappush(heap, (-use, block))
-        else:
-            if write:
-                writethrough_words += 1
-            else:
-                fetch_words += 1
-            if use < n:
+                writethrough_words += write_l[following]
                 miss_flag[use] = 1
+                continue
+            # Evict the top, insert this word.
+            if dirty[victim]:
+                writeback_words += 1
+                dirty[victim] = 0
+            if victim_use < span:
+                miss_flag[victim_use] = 1
+            dirty[dense_l[following]] = write_l[following]
+            heapreplace(heap, entry_l[following])
 
-        # ---- jump to the next miss; everything in between is a hit ----
-        start = position + 1
-        if start >= n:
-            break
-        following = find_flag(1, start)
-        if following < 0:
-            following = n
-        if following - start >= 32:
-            nw = int(write_prefix[following] - write_prefix[start])
-            write_hits += nw
-            read_hits += following - start - nw
-            if nw:
-                dirty[dense[start:following][is_write[start:following]]] = True
-            # Refresh entries: the run positions whose next use escapes
-            # the run are each block's last occurrence within it.
-            rel = np.nonzero(next_use[start:following] >= following)[0]
-            touched = dense[start + rel]
-            refreshed = next_use[start + rel]
-            current_use[touched] = refreshed
-            for key, ident in zip((-refreshed).tolist(), touched.tolist()):
-                heappush(heap, (key, ident))
-        else:
-            # Short runs: numpy slicing overhead beats its throughput.
-            for pos in range(start, following):
-                if write_l[pos]:
-                    write_hits += 1
-                    dirty[dense_l[pos]] = True
-                else:
-                    read_hits += 1
-                hit_use = next_l[pos]
-                if hit_use >= following:
-                    hit_block = dense_l[pos]
-                    current_use[hit_block] = hit_use
-                    heappush(heap, (-hit_use, hit_block))
-        if following >= n:
-            break
-        position = following
+        misses += int(np.count_nonzero(missed))
+        write_misses += int(np.count_nonzero(tail_write[missed]))
 
-    stats.read_hits = read_hits
-    stats.write_hits = write_hits
+    # A read miss fetches its word whether it is inserted or bypassed; a
+    # write miss fetches only when inserted under write-allocate.
+    read_misses = misses - write_misses
+    fetch_words = read_misses
+    if not write_validate:
+        fetch_words += write_misses - writethrough_words
+    stats.read_hits = stats.reads - read_misses
+    stats.write_hits = stats.writes - write_misses
     stats.fetch_bytes = fetch_words * WORD_BYTES
     stats.writeback_bytes = writeback_words * WORD_BYTES
     stats.writethrough_bytes = writethrough_words * WORD_BYTES
     if flush:
-        stats.flush_writeback_bytes = (
-            int(np.count_nonzero(dirty & resident)) * WORD_BYTES
-        )
+        # Only resident words are ever dirty.
+        stats.flush_writeback_bytes = dirty.count(1) * WORD_BYTES
     return stats

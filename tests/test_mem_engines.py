@@ -9,15 +9,20 @@ engines freely (and cache results) without the choice ever being
 observable.
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.runner import ScaledAxis
 from repro.mem import engines
 from repro.mem.cache import AllocatePolicy, Cache, CacheConfig, WritePolicy
 from repro.mem.mtc import MinimalTrafficCache, MTCConfig
 from repro.trace.model import MemTrace
+from repro.workloads.registry import all_workloads, get_workload
 
 
 def stats_key(stats):
@@ -158,25 +163,109 @@ def test_columns_empty_trace():
 # --------------------------------------------------------------------------
 
 
-@settings(max_examples=50, deadline=None)
+MTC_POLICIES = [
+    (allocate, bypass, flush)
+    for allocate in (
+        AllocatePolicy.WRITE_VALIDATE,
+        AllocatePolicy.WRITE_ALLOCATE,
+    )
+    for bypass in (True, False)
+    for flush in (True, False)
+]
+
+
+def assert_mtc_engines_agree(trace, size):
+    """The fast MTC equals the scalar loop under every policy combination."""
+    for allocate, bypass, flush in MTC_POLICIES:
+        config = MTCConfig(size_bytes=size, allocate=allocate, bypass=bypass)
+        scalar = MinimalTrafficCache(config).simulate(
+            trace, flush=flush, engine="scalar"
+        )
+        fast = MinimalTrafficCache(config).simulate(
+            trace, flush=flush, engine="vector"
+        )
+        assert stats_key(scalar) == stats_key(fast), (
+            config.describe(),
+            flush,
+        )
+
+
+def reuse_and_single_use_traces(max_len: int = 600):
+    """A 32-word reused set mixed with words drawn from ~5000, most of
+    which occur once, so the fill point lands mid-trace at most sizes."""
+    reference = st.tuples(
+        st.one_of(st.integers(0, 31), st.integers(32, 4999)), st.booleans()
+    )
+    return st.lists(reference, min_size=1, max_size=max_len).map(
+        lambda refs: MemTrace(
+            np.array([word for word, _ in refs], dtype=np.int64) * 4,
+            np.array([write for _, write in refs], dtype=bool),
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    trace=traces(),
-    size=st.sampled_from([64, 256, 4096]),
-    allocate=st.sampled_from(
-        [AllocatePolicy.WRITE_VALIDATE, AllocatePolicy.WRITE_ALLOCATE]
-    ),
-    bypass=st.booleans(),
-    flush=st.booleans(),
+    trace=st.one_of(traces(), reuse_and_single_use_traces()),
+    size=st.sampled_from([4 << k for k in range(11)]),
 )
-def test_mtc_fast_matches_scalar(trace, size, allocate, bypass, flush):
-    config = MTCConfig(size_bytes=size, allocate=allocate, bypass=bypass)
-    scalar = MinimalTrafficCache(config).simulate(
-        trace, flush=flush, engine="scalar"
+def test_mtc_fast_matches_scalar(trace, size):
+    """Small word sets fill the MTC early or never; the single-use family
+    puts the fill point mid-trace, so the dropped-word path runs."""
+    assert_mtc_engines_agree(trace, size)
+
+
+def distinct_words_trace(
+    distinct: int, n: int = 400, seed: int = 9
+) -> MemTrace:
+    """*n* references over exactly *distinct* words, reads and writes."""
+    rng = np.random.default_rng(seed)
+    words = np.concatenate(
+        [rng.permutation(distinct), rng.integers(0, distinct, n - distinct)]
     )
-    fast = MinimalTrafficCache(config).simulate(
-        trace, flush=flush, engine="vector"
-    )
-    assert stats_key(scalar) == stats_key(fast)
+    rng.shuffle(words)
+    return MemTrace(words.astype(np.int64) * 4, rng.random(n) < 0.4)
+
+
+@pytest.mark.parametrize(
+    "trace, size",
+    [
+        pytest.param(distinct_words_trace(40), 4, id="capacity-1"),
+        pytest.param(distinct_words_trace(17), 64, id="capacity-distinct-1"),
+        pytest.param(distinct_words_trace(16), 64, id="capacity-distinct"),
+        pytest.param(
+            MemTrace(np.array([12]), np.array([True])), 4, id="one-reference"
+        ),
+        pytest.param(
+            MemTrace(
+                np.arange(300, dtype=np.int64)[::-1] * 4,
+                np.arange(300) % 3 == 0,
+            ),
+            64,
+            id="all-single-use",
+        ),
+        pytest.param(
+            MemTrace(
+                np.random.default_rng(2).integers(0, 64, 500) * 4,
+                np.ones(500, dtype=bool),
+            ),
+            64,
+            id="all-write",
+        ),
+    ],
+)
+def test_mtc_fast_edge_cases(trace, size):
+    assert_mtc_engines_agree(trace, size)
+
+
+def test_mtc_prepared_from_another_trace_is_refused():
+    """A reused pass-1 product must come from a trace of the same length."""
+    prepared = engines.prepare_mtc(make_trace("mix", 300, seed=1))
+    other = make_trace("mix", 301, seed=1)
+    with pytest.raises(ConfigurationError, match="301-reference"):
+        MinimalTrafficCache(MTCConfig(size_bytes=256)).simulate(
+            other, engine="vector", prepared=prepared
+        )
 
 
 def test_mtc_prepared_reuse_across_sizes():
@@ -190,6 +279,96 @@ def test_mtc_prepared_reuse_across_sizes():
             trace, engine="vector", prepared=prepared
         )
         assert stats_key(scalar) == stats_key(fast), size
+
+
+#: Reference budget and trace seed of :data:`MTC_DIGESTS`.
+MTC_DIGEST_REFS = 20_000
+MTC_DIGEST_SEED = 0
+#: (allocate, bypass) of each digest column, in order.
+MTC_DIGEST_COLUMNS = (
+    (AllocatePolicy.WRITE_VALIDATE, True),
+    (AllocatePolicy.WRITE_VALIDATE, False),
+    (AllocatePolicy.WRITE_ALLOCATE, True),
+    (AllocatePolicy.WRITE_ALLOCATE, False),
+)
+
+#: SHA-256 over every ``CacheStats`` field of the fast MTC (flush on) at
+#: each of Table 8's twelve simulated sizes, 256 B-512 KB, at the default
+#: scale; one digest per (allocate, bypass) column above. Any change to
+#: the fast MTC that moves one hit or one byte of traffic fails here.
+MTC_DIGESTS = {
+    "Compress": (
+        "42a013f67079a32b26740ac1500791e680e521c1c7efcc844e9ae6347feca560",
+        "07a12053465368d851cea9a6b974bc1d07a98399364faf2eea27ea8254de35e8",
+        "b5c64e4b78ec34db05671be335c2c71738bdee47b5abdc5548e27be48d473a74",
+        "882c786deb3e446f441afb8a62bad1a7077d6c58763536f00479857405f1b300",
+    ),
+    "Dnasa2": (
+        "75a8729697b2f70ab6eb965fa0bd63f66fbe9b76fb79cfd9c2a58606e9a4d359",
+        "75a8729697b2f70ab6eb965fa0bd63f66fbe9b76fb79cfd9c2a58606e9a4d359",
+        "75a8729697b2f70ab6eb965fa0bd63f66fbe9b76fb79cfd9c2a58606e9a4d359",
+        "75a8729697b2f70ab6eb965fa0bd63f66fbe9b76fb79cfd9c2a58606e9a4d359",
+    ),
+    "Eqntott": (
+        "35e8ec19dbb242460fba399ba00126e8b1b77b964add3061c91d806d1156adcc",
+        "9c4c0336a88d9f0975d160096ef41bf452e4cdd7e763894bf65b828df72ce977",
+        "bb4685e8ca1fb1268f102320deaa99c879bb5ae4ab1c480139dcd3c773c1f206",
+        "22f9d03088a0acf29e3bd1908ee65b367a78ef573f88d93b38064937e67ae922",
+    ),
+    "Espresso": (
+        "4237861c06178d31d47359bc234b766498e52d0bc8f9b4c825d8af3bd45a60e8",
+        "000affd90c88097af1b23349f858950d134f6041d8ff3cd70315c09e1d57848e",
+        "8ad649fc59803f44026faac73210bc309e227c7b084fea9457703bec2221effe",
+        "0276ab7cd008509bb3d8a103ffc7d182f75712794be94a8a853ebcbe4b6ecd2f",
+    ),
+    "Su2cor": (
+        "82d0079902070dca176064987e5fd75bf0f13f9f869fbd7de50d62e2a7756cca",
+        "26da0aa67a76205b30122dfe309e80cfe17ff70caf0c8db671e6dfbab9e422d2",
+        "9b7b41e9929ead1a3c5fc85db32420b0cfcfb04c100670b47b1de23cb6919483",
+        "425e50d60b3fb81303660ecebf63314a3e8102f6d2de48230ecfbe137a97fc20",
+    ),
+    "Swm": (
+        "74ce8e15bd2581223fd60292fe701e0687d4a24bdb46f2676c487fe55eb782e5",
+        "3623d6a5a828c5bf8235dae3986c156b831cc37c262451cf4107ced009567a33",
+        "1ca62ceea599ce026a3375d9cb89e8015c83c6a9760ded7124978d1e08b30651",
+        "edcd72ebc6d50fff4aa70df62f38aef4661dd1fc0ac404380f0c53201684654c",
+    ),
+    "Tomcatv": (
+        "ca570dfa99bdb5cf8935261b9bec9d98b0aa06cdbff6aba2e79dac2637d9a8f0",
+        "1a339f17d5aedd644ed90f29eb6640ec3907e953943f2bfa9edaa78a98769db3",
+        "99e8c7800018081b5956d06ff945384b01ce0e688b7270d1ad326da064da9375",
+        "e0cd4a0edf91d007c26b800f8d31781010bd20e81ab6dcaa30dcd118db6ad262",
+    ),
+}
+
+
+class TestMTCDigests:
+    @pytest.mark.parametrize("name", sorted(MTC_DIGESTS))
+    def test_table8_grid_pinned(self, name):
+        axis = ScaledAxis()
+        sizes = [axis.simulated_size(size) for size in axis.paper_sizes]
+        trace = get_workload(name).generate(
+            seed=MTC_DIGEST_SEED, max_refs=MTC_DIGEST_REFS
+        )
+        prepared = engines.prepare_mtc(trace)
+        digests = []
+        for allocate, bypass in MTC_DIGEST_COLUMNS:
+            digest = hashlib.sha256()
+            for size in sizes:
+                config = MTCConfig(
+                    size_bytes=size, allocate=allocate, bypass=bypass
+                )
+                stats = engines.simulate_mtc_fast(
+                    config, trace, prepared=prepared
+                )
+                digest.update(repr(dataclasses.astuple(stats)).encode())
+            digests.append(digest.hexdigest())
+        assert tuple(digests) == MTC_DIGESTS[name]
+
+    def test_every_table8_benchmark_is_pinned(self):
+        assert sorted(MTC_DIGESTS) == sorted(
+            workload.name for workload in all_workloads("SPEC92")
+        )
 
 
 def test_mtc_fast_rejects_multiword_blocks_under_vector():

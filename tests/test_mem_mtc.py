@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.mem import engines
 from repro.mem.cache import AllocatePolicy, Cache, CacheConfig
 from repro.mem.mtc import MinimalTrafficCache, MTCConfig, minimal_traffic_bytes
 from repro.trace.model import MemTrace
+from repro.workloads.registry import get_workload, workload_names
 
 from conftest import make_trace
 
@@ -209,3 +211,38 @@ class TestAgainstBruteForce:
 
             explore(0, frozenset(), 0)
             assert measured == best[0], words
+
+
+class TestTrafficAcrossSizes:
+    """MIN with bypass never does worse with more room, under write-validate.
+
+    Under write-allocate it can: an inserted write miss fetches its word
+    and later writes it back, while a bypassed one costs a single word.
+    """
+
+    SIZES = [64 << k for k in range(14)]  # 64 B - 512 KB
+
+    @staticmethod
+    def traffic(trace, allocate, sizes):
+        prepared = engines.prepare_mtc(trace)
+        return [
+            MinimalTrafficCache(
+                MTCConfig(size_bytes=size, allocate=allocate)
+            ).simulate(trace, prepared=prepared).total_traffic_bytes
+            for size in sizes
+        ]
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_write_validate_traffic_never_rises(self, name):
+        trace = get_workload(name).generate(seed=0, max_refs=20_000)
+        traffic = self.traffic(
+            trace, AllocatePolicy.WRITE_VALIDATE, self.SIZES
+        )
+        assert traffic == sorted(traffic, reverse=True), traffic
+
+    def test_write_allocate_traffic_can_rise(self):
+        trace = get_workload("Compress").generate(seed=0, max_refs=20_000)
+        small, large = self.traffic(
+            trace, AllocatePolicy.WRITE_ALLOCATE, [2048, 32768]
+        )
+        assert (small, large) == (29_668, 31_428)
