@@ -20,6 +20,7 @@ from repro.trace.synth import (
     merge_sort_passes,
     stencil_sweeps,
     tiled_matrix_multiply,
+    to_trace,
 )
 
 
@@ -49,16 +50,16 @@ def _measured_traffic(trace: MemTrace, size_bytes: int) -> int:
 
 def _generator_trace(name: str, n: int) -> MemTrace | None:
     if name == "TMM":
-        pair = tiled_matrix_multiply(0, 4 * n * n * 4, 8 * n * n * 4, n, max(4, n // 8))
+        stream = tiled_matrix_multiply(0, 4 * n * n * 4, 8 * n * n * 4, n, max(4, n // 8))
     elif name == "Stencil":
-        pair = stencil_sweeps(0, n, iterations=8)
+        stream = stencil_sweeps(0, n, iterations=8)
     elif name == "FFT":
-        pair = fft_butterflies(0, n * n // 2)
+        stream = fft_butterflies(0, n * n // 2)
     elif name == "Sort":
-        pair = merge_sort_passes(0, n * n // 2)
+        stream = merge_sort_passes(0, n * n // 2)
     else:
         return None
-    return MemTrace(pair[0], pair[1], name=name)
+    return to_trace(stream, name=name)
 
 
 def run(*, n: int = 64, small_cache: int = 2048, analytic_n: int = 4096) -> Table2Result:

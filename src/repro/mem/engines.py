@@ -593,6 +593,10 @@ def mtc_fast_supported(config: MTCConfig) -> str | None:
 #: it, numpy's per-call overhead beats its throughput.
 _NUMPY_RUN = 32
 
+#: The fast MTC's victim heap is rebuilt from its live entries once it
+#: holds more than ``max(4 * capacity, _HEAP_FLOOR)`` of them.
+_HEAP_FLOOR = 32_768
+
 
 def simulate_mtc_fast(
     config: MTCConfig,
@@ -639,7 +643,10 @@ def simulate_mtc_fast(
     an evicted word's live entry is the heap top popped with it. So at a
     miss every stale entry's ``use`` lies before the miss and every live
     one's after it: the top is always live, and stale entries stay buried
-    without a per-word key table or a stale check.
+    without a per-word key table or a stale check. Buried entries grow with
+    the hits, not with C, so at a miss a heap longer than ``max(4C,
+    _HEAP_FLOOR)`` is rebuilt from its live entries (at most C); the top,
+    the least live entry, stays the same.
     """
     import heapq
 
@@ -734,6 +741,7 @@ def simulate_mtc_fast(
         entry_l = tail_entry.tolist()
         heappush = heapq.heappush
         heapreplace = heapq.heapreplace
+        heap_bound = max(4 * config.capacity_blocks, _HEAP_FLOOR)
 
         start = 0
         while True:
@@ -763,6 +771,13 @@ def simulate_mtc_fast(
 
             # ---- the miss at `following` ----
             start = following + 1
+            if len(heap) > heap_bound:
+                # Live entries: their word's next use lies past this miss.
+                heap[:] = [
+                    entry for entry in heap
+                    if ((entry & mask) - entry) >> shift > following
+                ]
+                heapq.heapify(heap)
             use = next_l[following]
             if allow_bypass and use == span:
                 # No future use: bypassed whatever the victim is.

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from repro.errors import ConfigurationError
 from repro.mem.cache import Cache, CacheConfig, CacheStats
 from repro.trace.model import MemTrace
-from repro.trace.synth import round_robin
+from repro.trace.synth import from_arrays, round_robin
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +56,7 @@ def _interleave(traces: Sequence[MemTrace], quantum: int) -> MemTrace:
     address spaces (threads do not share data)."""
     offset_step = 1 << 30
     addresses, writes, owner = round_robin(
-        [(trace.addresses, trace.is_write) for trace in traces],
+        [from_arrays(trace.addresses, trace.is_write) for trace in traces],
         [quantum] * len(traces),
     )
     return MemTrace(addresses + owner * offset_step, writes, name="shared")

@@ -27,7 +27,7 @@ from repro.mem.cache import Cache, CacheConfig
 from repro.scenario.patterns import build_pattern
 from repro.scenario.spec import MAX_FOOTPRINT_BYTES, ScenarioSpec
 from repro.trace.model import MemTrace
-from repro.trace.synth import StreamPair, round_robin
+from repro.trace.synth import Stream, StreamPair, round_robin
 
 __all__ = [
     "MixedTrace",
@@ -64,7 +64,7 @@ class MixedTrace:
 
 
 def interleave_weighted(
-    streams: list[StreamPair],
+    streams: list[Stream],
     *,
     quantum: int,
     weights: list[int],
@@ -76,7 +76,8 @@ def interleave_weighted(
     visit tenants in list order, tenant *i* advancing ``quantum x
     weight_i`` references per round until exhausted — shorter streams
     simply drop out of later rounds, as in the interference model.
-    *limit* builds only the first *limit* references.
+    *limit* builds only the first *limit* references, from the prefix of
+    each tenant's stream that they consume.
     """
     if not streams:
         raise ScenarioError("interleave needs at least one tenant stream")
@@ -96,7 +97,7 @@ def interleave_weighted(
 
 def build_streams(
     spec: ScenarioSpec, rng: np.random.Generator
-) -> list[StreamPair]:
+) -> list[Stream]:
     """Each tenant's stream at its resolved ref share, pre-offset.
 
     Every tenant gets an independent child generator derived from the
@@ -119,21 +120,22 @@ def build_streams(
     return streams
 
 
-def mix_stream(
-    spec: ScenarioSpec, rng: np.random.Generator, limit: int | None = None
-) -> StreamPair:
+def mix_stream(spec: ScenarioSpec, rng: np.random.Generator) -> Stream:
     """The scenario's shared stream — the :class:`ScenarioWorkload` build.
 
-    *limit* builds only the interleave's first *limit* references; every
-    tenant's own stream is still drawn whole.
+    Every tenant's draws are made here; taking a prefix builds only the
+    part of each tenant's stream that the prefix interleaves.
     """
-    addresses, writes, _ = interleave_weighted(
-        build_streams(spec, rng),
-        quantum=spec.quantum,
-        weights=[tenant.weight for tenant in spec.tenants],
-        limit=limit,
-    )
-    return addresses, writes
+    streams = build_streams(spec, rng)
+    weights = [tenant.weight for tenant in spec.tenants]
+
+    def first(n: int) -> StreamPair:
+        addresses, writes, _ = interleave_weighted(
+            streams, quantum=spec.quantum, weights=weights, limit=n
+        )
+        return addresses, writes
+
+    return Stream(sum(stream.size for stream in streams), first)
 
 
 def mix(spec: ScenarioSpec, *, seed: int | None = None) -> MixedTrace:

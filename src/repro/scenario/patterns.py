@@ -8,7 +8,7 @@ taxonomy). Every pattern is deterministic for a given ``rng`` and
 vectorized like :mod:`repro.trace.synth`, whose builders do the actual
 stream construction wherever one fits.
 
-A pattern is anything with ``stream(rng) -> StreamPair``; the
+A pattern is anything with ``stream(rng) -> Stream``; the
 :class:`~repro.workloads.base.SyntheticWorkload` base class implements
 the same method, so named benchmarks and scenario patterns are
 interchangeable wherever a trace source is needed.
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import ScenarioError
 from repro.trace import synth
-from repro.trace.synth import StreamPair
+from repro.trace.synth import Stream
 
 __all__ = [
     "TracePattern",
@@ -53,10 +53,12 @@ class TracePattern(Protocol):
     """Anything that can emit a reference stream deterministically.
 
     ``stream`` must be a pure function of the generator state: the same
-    ``rng`` seed always yields a byte-identical :data:`StreamPair`.
+    ``rng`` seed always yields a byte-identical
+    :class:`~repro.trace.synth.Stream`. It makes all of its random draws
+    when called; taking a prefix of the result draws nothing more.
     """
 
-    def stream(self, rng: np.random.Generator) -> StreamPair: ...
+    def stream(self, rng: np.random.Generator) -> Stream: ...
 
 
 #: Nesting bound for ``phased`` compositions (phases of phases).
@@ -110,7 +112,7 @@ class UniformRandomPattern:
     refs: int
     write_fraction: float
 
-    def stream(self, rng: np.random.Generator) -> StreamPair:
+    def stream(self, rng: np.random.Generator) -> Stream:
         return synth.random_probes(
             rng, 0, self.footprint_words, self.refs,
             write_fraction=self.write_fraction,
@@ -126,7 +128,7 @@ class ZipfianPattern:
     write_fraction: float
     alpha: float
 
-    def stream(self, rng: np.random.Generator) -> StreamPair:
+    def stream(self, rng: np.random.Generator) -> Stream:
         return synth.zipf_probes(
             rng, 0, self.footprint_words, self.refs,
             alpha=self.alpha, write_fraction=self.write_fraction,
@@ -144,7 +146,7 @@ class HotspotPattern:
     hot_fraction: float
     hot_prob: float
 
-    def stream(self, rng: np.random.Generator) -> StreamPair:
+    def stream(self, rng: np.random.Generator) -> Stream:
         hot_words = max(1, int(self.footprint_words * self.hot_fraction))
         return synth.random_probes(
             rng, 0, self.footprint_words, self.refs,
@@ -172,7 +174,7 @@ class BurstyPattern:
     gap_refs: int
     burst_fraction: float
 
-    def stream(self, rng: np.random.Generator) -> StreamPair:
+    def stream(self, rng: np.random.Generator) -> Stream:
         burst_words = max(1, int(self.footprint_words * self.burst_fraction))
         cycle = self.burst_refs + self.gap_refs
         cycles = -(-self.refs // cycle)  # ceil
@@ -187,13 +189,17 @@ class BurstyPattern:
             0, self.footprint_words, size=(cycles, self.gap_refs),
             dtype=np.int64,
         )
-        per_cycle = np.concatenate(
-            [starts[:, None] + burst_offsets, gap_indices], axis=1
-        )
-        indices = per_cycle.reshape(-1)[: self.refs]
-        addresses = indices * synth.WORD_BYTES
         writes = rng.random(self.refs) < self.write_fraction
-        return addresses, writes
+
+        def first(n: int) -> synth.StreamPair:
+            rows = -(-n // cycle)  # the cycles the prefix reaches
+            per_cycle = np.concatenate(
+                [starts[:rows, None] + burst_offsets[:rows], gap_indices[:rows]],
+                axis=1,
+            )
+            return per_cycle.reshape(-1)[:n] * synth.WORD_BYTES, writes[:n]
+
+        return Stream(self.refs, first)
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,17 +217,17 @@ class SequentialPattern:
     stride_words: int
     write_every: int
 
-    def stream(self, rng: np.random.Generator) -> StreamPair:
+    def stream(self, rng: np.random.Generator) -> Stream:
         del rng  # a sweep has no random component
         per_pass = -(-self.footprint_words // self.stride_words)  # ceil
         passes = max(1, -(-self.refs // per_pass))
-        pair = synth.sweep(
+        passes_stream = synth.sweep(
             0, self.footprint_words,
             passes=passes,
             stride_words=self.stride_words,
             write_every=self.write_every,
         )
-        return synth.truncate(pair, self.refs)
+        return synth.truncate(passes_stream, self.refs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,7 +237,7 @@ class PhasedPattern:
 
     phases: tuple[TracePattern, ...]
 
-    def stream(self, rng: np.random.Generator) -> StreamPair:
+    def stream(self, rng: np.random.Generator) -> Stream:
         # One independent generator per phase, derived from the parent
         # stream: determinism survives any internal draw-count change in
         # an individual phase's builder.

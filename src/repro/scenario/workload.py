@@ -23,7 +23,7 @@ import numpy as np
 from repro.scenario.mixer import mix_stream
 from repro.scenario.spec import ScenarioSpec, resolve_spec_argument
 from repro.trace.model import MemTrace
-from repro.trace.synth import StreamPair
+from repro.trace.synth import Stream
 from repro.workloads.base import DEFAULT_SCALE, PaperFacts, SyntheticWorkload
 
 __all__ = ["ScenarioWorkload", "resolve_workload"]
@@ -54,10 +54,8 @@ class ScenarioWorkload(SyntheticWorkload):
             f"quantum {spec.quantum}"
         )
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
-        return mix_stream(self.spec, rng, limit)
+    def _build(self, rng: np.random.Generator) -> Stream:
+        return mix_stream(self.spec, rng)
 
     def generate(
         self, *, seed: int | None = None, max_refs: int | None = None

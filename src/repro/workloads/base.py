@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.trace.model import MemTrace, WORD_BYTES
-from repro.trace.synth import StreamPair
+from repro.trace.synth import Stream
 
 #: Default footprint scale for reproduction runs (see module docstring).
 #: 1/4 keeps even the smallest scaled cache column (1 KB -> 256 B) at a
@@ -67,29 +67,28 @@ class SyntheticWorkload(ABC):
     # -- to be provided by each benchmark model ------------------------------------
 
     @abstractmethod
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
-        """Return the (addresses, is_write) stream at ``self.scale``.
+    def _build(self, rng: np.random.Generator) -> Stream:
+        """Return the benchmark's reference stream at ``self.scale``.
 
-        *limit* says only the stream's first *limit* references are kept.
-        A model passes it to its outermost combinator alone, which then
-        builds just that prefix; inner combinators take their chunk sizes
-        from whole inputs, so they stay unlimited. Returning more than
-        *limit* references is allowed — :meth:`generate` cuts the rest.
+        The stream makes every random draw when it is created and builds
+        nothing else: its ``size`` is known at once, and ``take(n)`` builds
+        only the first *n* references. The model composes its components
+        with the :mod:`repro.trace.synth` combinators, which size their
+        schedules from the components' sizes, so every component at every
+        level is asked only for the prefix a run keeps.
         """
 
     # -- public API -----------------------------------------------------------------
 
-    def stream(self, rng: np.random.Generator) -> StreamPair:
+    def stream(self, rng: np.random.Generator) -> Stream:
         """The :class:`repro.scenario.patterns.TracePattern` interface.
 
         Benchmarks and scenario patterns share this one streaming
-        surface: anything holding a workload can draw its raw
-        ``(addresses, is_write)`` stream from a generator it controls.
+        surface: anything holding a workload can draw its
+        :class:`~repro.trace.synth.Stream` from a generator it controls.
         Deterministic for a given ``(scale, rng state)``. :meth:`generate`
-        consumes a prefix of it: ``generate(seed=s, max_refs=n)`` is
-        ``stream(default_rng(s))`` cut to its first *n* references.
+        takes a prefix of it: ``generate(seed=s, max_refs=n)`` is
+        ``stream(default_rng(s)).take(n)``.
         """
         return self._build(rng)
 
@@ -99,15 +98,15 @@ class SyntheticWorkload(ABC):
         The trace is deterministic for a given ``(scale, seed)`` pair. When
         *max_refs* is given the trace is truncated to that many references
         (useful to bound simulation time in tests), and only that prefix
-        of the interleaved stream is built.
+        is built, of every component.
         """
         if max_refs is not None and max_refs <= 0:
             raise WorkloadError(f"max_refs must be positive, got {max_refs}")
-        rng = np.random.default_rng(seed)
-        addresses, writes = self._build(rng, max_refs)
-        if addresses.size == 0:
+        stream = self._build(np.random.default_rng(seed))
+        if stream.size == 0:
             raise WorkloadError(f"workload {self.name} generated an empty trace")
-        return MemTrace(addresses[:max_refs], writes[:max_refs], name=self.name)
+        addresses, writes = stream.take(max_refs)
+        return MemTrace(addresses, writes, name=self.name)
 
     def dataset_bytes(self) -> int:
         """Designed data-set footprint at this scale, in bytes.

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trace.synth import (
-    StreamPair,
+    Stream,
     interleave_streams,
     sweep,
     zipf_probes,
@@ -40,9 +40,7 @@ class Compress(SyntheticWorkload):
     #: scale produces a ~0.8M-reference trace).
     _REFS_PER_SCALE = 3_300_000
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
+    def _build(self, rng: np.random.Generator) -> Stream:
         total_refs = max(2_000, int(self._REFS_PER_SCALE * self.scale))
         table_words = self._scaled_words(340 * 1024)
         hot_words = self._scaled_words(6 * 1024, minimum=32)
@@ -92,5 +90,4 @@ class Compress(SyntheticWorkload):
             rng,
             [cold_probes, hot_probes, input_stream, output_stream],
             chunk=16,
-            limit=limit,
         )

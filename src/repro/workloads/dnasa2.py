@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from repro.trace.synth import (
-    StreamPair,
+    Stream,
     concat_streams,
     fft2d_passes,
     tiled_matrix_multiply,
@@ -41,9 +41,7 @@ class Dnasa2(SyntheticWorkload):
 
     _REFS_PER_SCALE = 2_400_000
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
+    def _build(self, rng: np.random.Generator) -> Stream:
         del rng  # fully deterministic workload
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         # Split the scaled footprint between the 2-D FFT working grid
@@ -67,6 +65,7 @@ class Dnasa2(SyntheticWorkload):
         mxm_phase = tiled_matrix_multiply(a_base, b_base, c_base, matrix_side, tile)
         # NASA7 invokes each kernel repeatedly (181M refs over 0.18 MB in
         # the paper); repeat the two phases to reach the reference budget.
-        refs_per_round = fft_phase[0].size + mxm_phase[0].size
+        # The concat builds each phase once, however often it repeats.
+        refs_per_round = fft_phase.size + mxm_phase.size
         rounds = max(1, total_refs // refs_per_round)
-        return concat_streams([fft_phase, mxm_phase] * rounds, limit=limit)
+        return concat_streams([fft_phase, mxm_phase] * rounds)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trace.synth import (
-    StreamPair,
+    Stream,
     column_sweep,
     interleave_streams,
     quicksort_scans,
@@ -48,9 +48,7 @@ class Eqntott(SyntheticWorkload):
     #: 16-record insertion sort.
     _RECORD_WORDS = 4
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
+    def _build(self, rng: np.random.Generator) -> Stream:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         record_words = self._scaled_words(1_200 * 1024)
         output_words = self._scaled_words(100 * 1024)
@@ -110,5 +108,5 @@ class Eqntott(SyntheticWorkload):
             write_fraction=0.12,
         )
         return interleave_streams(
-            rng, [probes, stack, bits, output_writes], chunk=32, limit=limit
+            rng, [probes, stack, bits, output_writes], chunk=32
         )

@@ -15,10 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trace.synth import (
+    Stream,
     StreamPair,
     interleave_streams,
     sweep,
     zipf_probes,
+    zipf_words,
 )
 from repro.workloads.base import PaperFacts, SyntheticWorkload
 
@@ -38,9 +40,7 @@ class Espresso(SyntheticWorkload):
     #: One cube row: a handful of bit-vector words swept together.
     _ROW_WORDS = 32
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
+    def _build(self, rng: np.random.Generator) -> Stream:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         cube_words = self._scaled_words(24 * 1024, minimum=4 * self._ROW_WORDS)
         register_words = self._scaled_words(4 * 1024, minimum=64)
@@ -60,14 +60,20 @@ class Espresso(SyntheticWorkload):
         # rises quickly with cache size, collapsing R from ~1.4 at 1 KB to
         # ~0.01 once the matrix fits (paper Table 7).
         pair_steps = max(1, int(total_refs * 0.72) // (2 * self._ROW_WORDS))
-        chosen = _zipf_rows(rng, rows, 2 * pair_steps, alpha=1.35)
-        offsets = np.arange(self._ROW_WORDS, dtype=np.int64)
-        row_addr = (
-            cube_base + (chosen[:, None] * self._ROW_WORDS + offsets[None, :]) * 4
-        ).reshape(-1)
-        row_writes = np.zeros(row_addr.size, dtype=bool)
-        row_writes[2 * self._ROW_WORDS - 1 :: 2 * self._ROW_WORDS] = True
-        cover_loop = (row_addr, row_writes)
+        cover_rows = zipf_words(rng, rows, 2 * pair_steps, alpha=1.35)
+        row_words = self._ROW_WORDS
+        offsets = np.arange(row_words, dtype=np.int64)
+
+        def cover_loop_prefix(n: int) -> StreamPair:
+            chosen = cover_rows(-(-n // row_words))  # the rows n reaches
+            row_addr = (
+                cube_base + (chosen[:, None] * row_words + offsets[None, :]) * 4
+            ).reshape(-1)[:n]
+            row_writes = np.zeros(n, dtype=bool)
+            row_writes[2 * row_words - 1 :: 2 * row_words] = True
+            return row_addr, row_writes
+
+        cover_loop = Stream(2 * pair_steps * row_words, cover_loop_prefix)
 
         full_passes = max(1, int(total_refs * 0.1) // cube_words)
         matrix_sweep = sweep(cube_base, cube_words, passes=full_passes, write_every=6)
@@ -83,15 +89,4 @@ class Espresso(SyntheticWorkload):
             rng,
             [cover_loop, matrix_sweep, register_probes],
             chunk=64,
-            limit=limit,
         )
-
-
-def _zipf_rows(
-    rng: np.random.Generator, n: int, count: int, alpha: float
-) -> np.ndarray:
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    weights = ranks ** (-alpha)
-    weights /= weights.sum()
-    permutation = rng.permutation(n)
-    return permutation[rng.choice(n, size=count, p=weights)].astype(np.int64)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from repro.trace.synth import (
-    StreamPair,
+    Stream,
     interleave_streams,
     interleaved_sweep,
     stencil_sweeps,
@@ -33,9 +33,7 @@ class _GridCode(SyntheticWorkload):
     _FIELDS = 4
     _POINTS = 5
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
+    def _build(self, rng: np.random.Generator) -> Stream:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         dataset = self.paper.dataset_mb * 1024 * 1024
         grid_words = self._scaled_words(dataset * self._GRID_SHARE)
@@ -55,9 +53,7 @@ class _GridCode(SyntheticWorkload):
         field_phase = interleaved_sweep(
             bases, field_words, passes=passes, write_last_array=True
         )
-        return interleave_streams(
-            rng, [grid_phase, field_phase], chunk=48, limit=limit
-        )
+        return interleave_streams(rng, [grid_phase, field_phase], chunk=48)
 
 
 class Applu(_GridCode):
@@ -83,13 +79,11 @@ class Su2cor95(_GridCode):
     _FIELDS = 6
     _POINTS = 5
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
+    def _build(self, rng: np.random.Generator) -> Stream:
         # Keep Su2cor's signature conflict behaviour from the SPEC92 model:
         # the lattice fields collide in small direct-mapped caches. The
-        # base stream is built whole: the outer interleave sizes its chunks
-        # from the full length.
+        # outer interleave sizes its chunks from the base stream's full
+        # size and takes only the prefix of it that its rounds consume.
         base_stream = super()._build(rng)
         conflict_stride = max(256, int(64 * 1024 * self.scale))
         field_words = self._scaled_words(
@@ -99,9 +93,7 @@ class Su2cor95(_GridCode):
         conflict = interleaved_sweep(
             [j * spacing for j in range(4)], field_words, passes=1
         )
-        return interleave_streams(
-            rng, [base_stream, conflict], chunk=64, limit=limit
-        )
+        return interleave_streams(rng, [base_stream, conflict], chunk=64)
 
 
 class Swim95(_GridCode):

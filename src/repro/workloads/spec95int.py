@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trace.synth import (
-    StreamPair,
+    Stream,
     interleave_streams,
     pointer_chain,
     sweep,
@@ -30,9 +30,7 @@ class Li(SyntheticWorkload):
 
     _REFS_PER_SCALE = 3_200_000
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
+    def _build(self, rng: np.random.Generator) -> Stream:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         heap_words = self._scaled_words(0.10 * 1024 * 1024, minimum=256)
         cells = pointer_chain(
@@ -53,7 +51,7 @@ class Li(SyntheticWorkload):
             alpha=1.3,
             write_fraction=0.4,
         )
-        return interleave_streams(rng, [cells, stack], chunk=20, limit=limit)
+        return interleave_streams(rng, [cells, stack], chunk=20)
 
 
 class Perl(SyntheticWorkload):
@@ -64,9 +62,7 @@ class Perl(SyntheticWorkload):
 
     _REFS_PER_SCALE = 3_600_000
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
+    def _build(self, rng: np.random.Generator) -> Stream:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         heap_words = self._scaled_words(22 * 1024 * 1024)
         heap = zipf_probes(
@@ -81,7 +77,7 @@ class Perl(SyntheticWorkload):
         string_base = (heap_words + 4096) * 4
         passes = max(1, int(total_refs * 0.45) // string_words)
         strings = sweep(string_base, string_words, passes=passes, write_every=5)
-        return interleave_streams(rng, [heap, strings], chunk=28, limit=limit)
+        return interleave_streams(rng, [heap, strings], chunk=28)
 
 
 class Vortex(SyntheticWorkload):
@@ -92,9 +88,7 @@ class Vortex(SyntheticWorkload):
 
     _REFS_PER_SCALE = 3_600_000
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
+    def _build(self, rng: np.random.Generator) -> Stream:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         db_words = self._scaled_words(16 * 1024 * 1024)
         index_words = self._scaled_words(3 * 1024 * 1024)
@@ -122,5 +116,5 @@ class Vortex(SyntheticWorkload):
         log_passes = max(1, int(total_refs * 0.15) // log_words)
         log_writes = sweep(log_base, log_words, passes=log_passes, write_every=1)
         return interleave_streams(
-            rng, [records, index, log_writes], chunk=28, limit=limit
+            rng, [records, index, log_writes], chunk=28
         )

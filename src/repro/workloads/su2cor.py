@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trace.synth import (
-    StreamPair,
+    Stream,
     interleave_streams,
     interleaved_sweep,
     sweep,
@@ -42,9 +42,7 @@ class Su2cor(SyntheticWorkload):
     _CONFLICT_BYTES = 16 * 1024
     _ARRAYS = 4
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
+    def _build(self, rng: np.random.Generator) -> Stream:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         conflict_stride = max(256, int(self._CONFLICT_BYTES * self.scale))
         array_words = self._scaled_words(1.53 * 1024 * 1024 * 0.55 / self._ARRAYS)
@@ -71,4 +69,4 @@ class Su2cor(SyntheticWorkload):
         hot_base = self._ARRAYS * spacing + conflict_stride // 2
         hot_passes = max(2, int(total_refs * 0.28) // hot_words)
         hot = sweep(hot_base, hot_words, passes=hot_passes, write_every=4)
-        return interleave_streams(rng, [main_loop, hot], chunk=48, limit=limit)
+        return interleave_streams(rng, [main_loop, hot], chunk=48)

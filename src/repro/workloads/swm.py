@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from repro.trace.synth import StreamPair
+from repro.trace.synth import Stream, StreamPair, periodic
 from repro.workloads.base import PaperFacts, SyntheticWorkload
 
 
@@ -41,10 +41,7 @@ class Swm(SyntheticWorkload):
     #: cv, z, h, psi) that the timestep loops walk in lockstep.
     _ARRAYS = 13
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
-        del limit  # no combinator: one vectorized tile, cheap to build whole
+    def _build(self, rng: np.random.Generator) -> Stream:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         array_words = self._scaled_words(0.93 * 1024 * 1024 / self._ARRAYS)
 
@@ -86,21 +83,26 @@ def _lockstep_with_offsets(
     *,
     passes: int,
     write_last: bool,
-) -> StreamPair:
+) -> Stream:
     """Element-wise lockstep sweep where each stream has a word offset.
 
     For each element index i, touches ``base + (i + offset) * 4`` for every
     (base, offset) in *pattern*; offsets wrap modulo the array length.
     """
-    index = np.arange(array_words, dtype=np.int64)
-    columns = [
-        base + ((index + offset) % array_words) * 4
-        for base, offset in pattern
-    ]
-    one_pass = np.stack(columns, axis=1).reshape(-1)
-    addresses = np.tile(one_pass, passes)
-    writes_one = np.zeros(len(pattern), dtype=bool)
-    if write_last:
-        writes_one[len(pattern) - 1] = True
-    writes = np.tile(np.tile(writes_one, array_words), passes)
-    return addresses, writes
+    group = len(pattern)
+
+    def one_pass(m: int) -> np.ndarray:
+        index = np.arange(-(-m // group), dtype=np.int64)  # elements m reaches
+        columns = [
+            base + ((index + offset) % array_words) * 4
+            for base, offset in pattern
+        ]
+        return np.stack(columns, axis=1).reshape(-1)[:m]
+
+    def first(n: int) -> StreamPair:
+        writes = np.zeros(n, dtype=bool)
+        if write_last:
+            writes[group - 1 :: group] = True
+        return periodic(one_pass, array_words * group, n), writes
+
+    return Stream(array_words * group * passes, first)

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from repro.trace.synth import (
-    StreamPair,
+    Stream,
     column_sweep,
     concat_streams,
     interleave_streams,
@@ -40,9 +40,7 @@ class Tomcatv(SyntheticWorkload):
 
     _REFS_PER_SCALE = 3_800_000
 
-    def _build(
-        self, rng: np.random.Generator, limit: int | None = None
-    ) -> StreamPair:
+    def _build(self, rng: np.random.Generator) -> Stream:
         total_refs = max(4_000, int(self._REFS_PER_SCALE * self.scale))
         mesh_words = self._scaled_words(1.4 * 1024 * 1024)
         side = max(16, int(math.sqrt(mesh_words)))
@@ -97,5 +95,4 @@ class Tomcatv(SyntheticWorkload):
             rng,
             [tridiagonal, relaxation, residuals, errors],
             chunk=128,
-            limit=limit,
         )

@@ -11,6 +11,7 @@ observable.
 
 import dataclasses
 import hashlib
+import heapq
 
 import numpy as np
 import pytest
@@ -369,6 +370,45 @@ class TestMTCDigests:
         assert sorted(MTC_DIGESTS) == sorted(
             workload.name for workload in all_workloads("SPEC92")
         )
+
+
+class TestMTCHeapBound:
+    """Buried (stale) victim-heap entries grow with the hits; rebuilding the
+    heap from its live entries keeps it proportional to C."""
+
+    def test_victim_heap_stays_bounded(self, monkeypatch):
+        # A 1 KB MTC (C = 256 words) over 150k Compress references: left
+        # unbounded, the heap would reach 53,732 entries. Rebuilt once it
+        # passes max(4C, 32768), it peaks a few pushes above that bound.
+        trace = get_workload("Compress").generate(seed=0, max_refs=150_000)
+        peak = 0
+        push = heapq.heappush
+
+        def recording_push(heap, item):
+            nonlocal peak
+            push(heap, item)
+            peak = max(peak, len(heap))
+
+        monkeypatch.setattr(heapq, "heappush", recording_push)
+        engines.simulate_mtc_fast(MTCConfig(size_bytes=1024), trace)
+        assert 32_768 < peak < 34_000
+
+    @pytest.mark.parametrize("size", [16, 64, 256])
+    def test_rebuilds_change_no_statistic(self, monkeypatch, size):
+        # With no floor the bound is 4C, so small MTCs rebuild often.
+        rebuilds = 0
+        heapify = heapq.heapify
+
+        def counting_heapify(heap):
+            nonlocal rebuilds
+            rebuilds += 1
+            heapify(heap)
+
+        monkeypatch.setattr(engines, "_HEAP_FLOOR", 0)
+        monkeypatch.setattr(heapq, "heapify", counting_heapify)
+        assert_mtc_engines_agree(make_trace("hot", 3000, seed=3), size)
+        # One heapify per fill; the rest are rebuilds.
+        assert rebuilds > 2 * len(MTC_POLICIES)
 
 
 def test_mtc_fast_rejects_multiword_blocks_under_vector():

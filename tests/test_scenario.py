@@ -21,6 +21,7 @@ from repro.scenario import (
     resolve_workload,
 )
 from repro.scenario.mixer import OFFSET_STEP, interleave_weighted
+from repro.trace.synth import from_arrays
 from repro.workloads.registry import get_workload
 
 
@@ -56,9 +57,9 @@ class TestPatterns:
         pattern = build_pattern(
             spec, footprint_words=4096, refs=5000, write_fraction=0.25
         )
-        a_addr, a_writes = pattern.stream(rng(3))
-        b_addr, b_writes = pattern.stream(rng(3))
-        c_addr, _ = pattern.stream(rng(4))
+        a_addr, a_writes = pattern.stream(rng(3)).take()
+        b_addr, b_writes = pattern.stream(rng(3)).take()
+        c_addr, _ = pattern.stream(rng(4)).take()
         assert a_addr.tolist() == b_addr.tolist()
         assert a_writes.tolist() == b_writes.tolist()
         assert a_addr.size == 5000
@@ -75,7 +76,7 @@ class TestPatterns:
         pattern = build_pattern(
             spec, footprint_words=512, refs=3000, write_fraction=0.5
         )
-        addresses, _ = pattern.stream(rng())
+        addresses, _ = pattern.stream(rng()).take()
         assert addresses.min() >= 0
         assert addresses.max() < 512 * 4
 
@@ -95,7 +96,7 @@ class TestPatterns:
             {"kind": "hotspot", "hot_fraction": 0.01, "hot_prob": 0.95},
             footprint_words=100_000, refs=20_000, write_fraction=0.0,
         )
-        addresses, _ = pattern.stream(rng())
+        addresses, _ = pattern.stream(rng()).take()
         hot_bytes = int(100_000 * 0.01) * 4
         assert (addresses < hot_bytes).mean() > 0.9
 
@@ -184,8 +185,8 @@ class TestScenarioSpec:
 class TestMixer:
     def test_weighted_interleave_schedule(self):
         streams = [
-            (np.arange(4, dtype=np.int64) * 4, np.zeros(4, dtype=bool)),
-            (np.arange(2, dtype=np.int64) * 4, np.ones(2, dtype=bool)),
+            from_arrays(np.arange(4, dtype=np.int64) * 4, np.zeros(4, dtype=bool)),
+            from_arrays(np.arange(2, dtype=np.int64) * 4, np.ones(2, dtype=bool)),
         ]
         addresses, writes, tenants = interleave_weighted(
             streams, quantum=2, weights=[2, 1]
@@ -200,7 +201,9 @@ class TestMixer:
     def test_weights_below_one_rejected(self, weights):
         # A zero weight would never advance its tenant, and a negative
         # one would walk it backwards.
-        stream = (np.arange(4, dtype=np.int64) * 4, np.zeros(4, dtype=bool))
+        stream = from_arrays(
+            np.arange(4, dtype=np.int64) * 4, np.zeros(4, dtype=bool)
+        )
         with pytest.raises(ScenarioError, match="weights"):
             interleave_weighted(
                 [stream] * len(weights), quantum=2, weights=weights

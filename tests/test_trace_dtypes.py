@@ -53,10 +53,11 @@ def test_synth_generators_emit_int64_addresses():
         "fft2d": synth.fft2d_passes(high, rows=8, cols=8),
         "merge_sort": synth.merge_sort_passes(high, 32),
     }
-    for name, (addresses, writes) in pairs.items():
+    for name, stream in pairs.items():
+        addresses, writes = stream.take()
         assert addresses.dtype == np.int64, name
         assert int(addresses.min()) >= high, name
-        trace = synth.to_trace((addresses, writes), name=name)
+        trace = synth.to_trace(stream, name=name)
         assert trace.addresses.dtype == np.int64, name
 
 

@@ -1,6 +1,7 @@
 """Tests for the workload registry and generation contract."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from repro.errors import WorkloadError
 from repro.experiments.scenarios import SCENARIO_SPECS
 from repro.scenario import ScenarioSpec, ScenarioWorkload, mix
 from repro.trace.model import MemTrace
+from repro.trace.synth import from_arrays
 from repro.workloads import (
     DEFAULT_SCALE,
     all_workloads,
@@ -17,6 +19,7 @@ from repro.workloads import (
     workload_names,
 )
 from repro.workloads.base import SyntheticWorkload
+from repro.workloads.spec95fp import Applu, Hydro2d, Su2cor95, Swim95
 
 
 class TestRegistry:
@@ -147,8 +150,10 @@ class TestBaseClassContract:
         class Empty(SyntheticWorkload):
             name = "Empty"
 
-            def _build(self, rng, limit=None):
-                return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+            def _build(self, rng):
+                return from_arrays(
+                    np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+                )
 
         with pytest.raises(WorkloadError):
             Empty(scale=DEFAULT_SCALE).generate()
@@ -160,9 +165,11 @@ class TestBaseClassContract:
         class Spy(SyntheticWorkload):
             name = "Spy"
 
-            def _build(self, rng, limit=None):
-                calls.append(limit)
-                return np.zeros(4, dtype=np.int64), np.zeros(4, dtype=bool)
+            def _build(self, rng):
+                calls.append(rng)
+                return from_arrays(
+                    np.zeros(4, dtype=np.int64), np.zeros(4, dtype=bool)
+                )
 
         with pytest.raises(WorkloadError, match="positive"):
             Spy().generate(max_refs=bad)
@@ -461,10 +468,29 @@ class TestTraceBytes:
         _assert_generate_is_a_prefix_of_stream(ScenarioWorkload(spec))
 
 
+class TestPrefixMemory:
+    """A small budget builds a small trace: no component is built whole.
+    The SPEC95 grid codes' whole grids are 69-185 MiB of arrays at the
+    default scale; 3,000 references need a few rows of them."""
+
+    @pytest.mark.parametrize(
+        "name", [cls.name for cls in (Applu, Hydro2d, Su2cor95, Swim95)]
+    )
+    def test_small_budget_peak_memory(self, name):
+        workload = get_workload(name)
+        tracemalloc.start()
+        try:
+            workload.generate(seed=0, max_refs=3_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 def _assert_generate_is_a_prefix_of_stream(workload: SyntheticWorkload) -> None:
     # generate() builds only the budget's prefix; it must be exactly the
     # whole stream cut short, at budgets the digests do not pin.
-    addresses, writes = workload.stream(np.random.default_rng(3))
+    addresses, writes = workload.stream(np.random.default_rng(3)).take()
     for budget in (1, 4_999, 77_777):
         expected = MemTrace(addresses[:budget], writes[:budget])
         assert workload.generate(seed=3, max_refs=budget) == expected
