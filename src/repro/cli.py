@@ -769,14 +769,24 @@ def _retry_policy(args):
     )
 
 
+def run_experiment(name: str, max_refs: int | None = None) -> str:
+    """Import, run and render experiment *name*: ``repro experiment``'s text.
+
+    A served sweep returns this text too, so the two cannot differ.
+    *max_refs* reaches only the experiments whose ``run`` takes it, the
+    rule ``repro profile`` applies as well.
+    """
+    from repro.obs.profiler import run_kwargs
+
+    module = importlib.import_module(EXPERIMENT_MODULES[name])
+    result = module.run(**run_kwargs(module.run, max_refs))
+    return module.render(result) + "\n"
+
+
 def _cmd_experiment(args, out) -> None:
     from repro.exec import EXEC, clear_checkpoint, default_cache_dir, execution
     from repro.exec.resilience import read_checkpoint
 
-    module = importlib.import_module(EXPERIMENT_MODULES[args.name])
-    kwargs = {}
-    if args.max_refs is not None:
-        kwargs["max_refs"] = args.max_refs
     cache_dir = None
     if not args.no_cache:
         cache_dir = args.cache_dir or default_cache_dir()
@@ -792,11 +802,7 @@ def _cmd_experiment(args, out) -> None:
                     f"tasks; reusing its checkpointed results",
                     file=sys.stderr,
                 )
-        try:
-            result = module.run(**kwargs)
-        except TypeError:
-            # Some experiments (figure1/figure2/table2) take no max_refs.
-            result = module.run()
+        text = run_experiment(args.name, args.max_refs)
         if EXEC.cache is not None:
             corrupt = (
                 f", {EXEC.cache.corrupt} quarantined"
@@ -809,7 +815,7 @@ def _cmd_experiment(args, out) -> None:
                 file=sys.stderr,
             )
             clear_checkpoint(EXEC.cache)
-    print(module.render(result), file=out)
+    out.write(text)
 
 
 def _resolve_workload(text: str):
@@ -836,60 +842,60 @@ def _cmd_simulate(args, out) -> None:
     trace = workload.generate(
         seed=_workload_seed(workload, args.seed), max_refs=args.max_refs
     )
-    _print_simulation(trace, args, out)
+    size = parse_size(args.size)
+    out.write(simulation_report(trace, size, args.block, args.assoc, args.mtc))
 
 
-def _print_simulation(trace, args, out) -> None:
+def simulation_report(
+    trace, size: int, block: int, assoc: int, mtc: bool
+) -> str:
     """The ``repro simulate`` report for one generated trace.
 
-    Shared by ``simulate`` and ``scenario run`` so the two commands can
-    never drift; args must carry ``size``/``block``/``assoc``/``mtc``.
+    ``simulate``, ``scenario run`` and a served simulate job all print
+    this text, so they can never drift. *size* is in bytes; *mtc* adds
+    the minimal-traffic cache and the inefficiency G.
     """
     from repro.mem.cache import Cache, CacheConfig
     from repro.mem.mtc import MinimalTrafficCache, MTCConfig
 
-    size = parse_size(args.size)
     config = CacheConfig(
-        size_bytes=size, block_bytes=args.block, associativity=args.assoc
+        size_bytes=size, block_bytes=block, associativity=assoc
     )
     stats = Cache(config).simulate(trace)
     envelope = stats.estimate
-    print(f"workload: {trace.name} ({len(trace):,} refs)", file=out)
-    print(f"cache:    {config.describe()}", file=out)
+    lines = [
+        f"workload: {trace.name} ({len(trace):,} refs)",
+        f"cache:    {config.describe()}",
+    ]
     if envelope is not None:
-        print(f"sampled:  {envelope.describe()}", file=out)
-        print(
+        lines += [
+            f"sampled:  {envelope.describe()}",
             f"miss rate:      {stats.miss_rate:.4f} "
             f"± {envelope.miss_rate_half_width:.4f} (estimate)",
-            file=out,
-        )
-        print(
             f"total traffic:  {stats.total_traffic_bytes:,} bytes (estimate)",
-            file=out,
-        )
-        print(
             f"traffic ratio:  {stats.traffic_ratio:.3f} "
             f"± {envelope.traffic_ratio_half_width:.3f} (estimate)",
-            file=out,
-        )
+        ]
     else:
-        print(f"miss rate:      {stats.miss_rate:.4f}", file=out)
-        print(f"total traffic:  {stats.total_traffic_bytes:,} bytes", file=out)
-        print(f"traffic ratio:  {stats.traffic_ratio:.3f}", file=out)
-    if args.mtc:
-        mtc = MinimalTrafficCache(MTCConfig(size_bytes=size))
-        mtc_stats = mtc.simulate(trace)
+        lines += [
+            f"miss rate:      {stats.miss_rate:.4f}",
+            f"total traffic:  {stats.total_traffic_bytes:,} bytes",
+            f"traffic ratio:  {stats.traffic_ratio:.3f}",
+        ]
+    if mtc:
+        minimal = MinimalTrafficCache(MTCConfig(size_bytes=size))
+        mtc_stats = minimal.simulate(trace)
         g = stats.total_traffic_bytes / mtc_stats.total_traffic_bytes
         mtc_envelope = mtc_stats.estimate
         tag = " (estimate)" if mtc_envelope is not None else ""
-        print(
-            f"MTC traffic:    {mtc_stats.total_traffic_bytes:,} bytes{tag}",
-            file=out,
+        lines.append(
+            f"MTC traffic:    {mtc_stats.total_traffic_bytes:,} bytes{tag}"
         )
         if envelope is not None or mtc_envelope is not None:
-            print(f"inefficiency G: {g:.2f} (estimate)", file=out)
+            lines.append(f"inefficiency G: {g:.2f} (estimate)")
         else:
-            print(f"inefficiency G: {g:.2f}", file=out)
+            lines.append(f"inefficiency G: {g:.2f}")
+    return "\n".join(lines) + "\n"
 
 
 def _require_spec(text: str):
@@ -974,10 +980,10 @@ def _cmd_scenario_run(args, out) -> None:
     from repro.scenario import ScenarioWorkload
 
     spec = _require_spec(args.spec)
-    workload = ScenarioWorkload(spec)
     _print_scenario_header(spec, out)
-    trace = workload.generate(max_refs=args.max_refs)
-    _print_simulation(trace, args, out)
+    trace = ScenarioWorkload(spec).generate(max_refs=args.max_refs)
+    size = parse_size(args.size)
+    out.write(simulation_report(trace, size, args.block, args.assoc, args.mtc))
 
 
 def _cmd_scenario_mix(args, out) -> None:

@@ -61,6 +61,7 @@ __all__ = [
     "RunProfile",
     "profile_experiment",
     "render_profile",
+    "run_kwargs",
     "write_profile",
 ]
 
@@ -142,8 +143,13 @@ class RunProfile:
         }
 
 
-def _run_kwargs(run, max_refs: int | None) -> dict[str, object]:
-    """Pass ``max_refs`` only to experiments whose run() accepts it."""
+def run_kwargs(run, max_refs: int | None) -> dict[str, object]:
+    """Pass ``max_refs`` only to experiments whose run() accepts it.
+
+    ``repro profile``, ``repro experiment`` and served sweeps all use
+    this rule, so an error inside ``run`` is never mistaken for a
+    missing parameter.
+    """
     if max_refs is None:
         return {}
     parameters = inspect.signature(run).parameters
@@ -204,7 +210,7 @@ def profile_experiment(
         except ImportError as exc:
             raise ConfigurationError(f"no experiment named {name!r}") from exc
         result = staged(
-            "run", lambda: module.run(**_run_kwargs(module.run, max_refs))
+            "run", lambda: module.run(**run_kwargs(module.run, max_refs))
         )
         rendered = staged("render", lambda: module.render(result))
         snapshot = OBS.registry.snapshot()

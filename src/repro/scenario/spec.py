@@ -317,9 +317,8 @@ class ScenarioSpec:
     def to_argument(self) -> str:
         """The inline CLI spelling of this spec (``scenario:{...}``).
 
-        This is what :func:`repro.serve.protocol.request_argv` embeds in
-        a served job's argv, so the served run replays through the CLI
-        byte-identically.
+        ``repro simulate`` and ``repro scenario run`` accept it in place
+        of a spec file; it parses back to this exact canonical spec.
         """
         return "scenario:" + canonical_key(self.canonical())
 
@@ -353,7 +352,7 @@ def resolve_spec_argument(text: str) -> ScenarioSpec | None:
 
     Three spellings name a scenario:
 
-    * ``scenario:{...json...}`` — inline canonical form (the serve path),
+    * ``scenario:{...json...}`` — inline canonical form,
     * ``@path.json`` — spec file,
     * ``path.json`` — spec file, bare (convenience).
 

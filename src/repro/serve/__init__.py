@@ -8,16 +8,17 @@ them:
 * :mod:`repro.serve.protocol` — request schemas, normalisation, and
   content-addressed job ids built on the exec layer's canonical hashing;
 * :mod:`repro.serve.jobs` — job records plus the single worker-side
-  executor, which replays requests through the CLI dispatcher so served
-  output is byte-identical to the equivalent shell invocation;
+  executor, which calls the function whose text the equivalent CLI
+  command prints, so served output is byte-identical to the shell
+  invocation;
 * :mod:`repro.serve.admission` — the bounded admission queue: full means
   HTTP 429 + ``Retry-After``, never unbounded buffering;
 * :mod:`repro.serve.scheduler` — drains batches into
   :func:`repro.exec.run_tasks` (PR-2 process pool, PR-4 retry/timeout
   and crash recovery, result cache as journal);
-* :mod:`repro.serve.server` — the asyncio HTTP server (keep-alive),
-  routing, live ``/metrics`` (obs-registry text exposition) and
-  ``/healthz``;
+* :mod:`repro.serve.server` — the HTTP connection loop and drain both
+  servers share (keep-alive), plus the asyncio server's routing, live
+  ``/metrics`` (obs-registry text exposition) and ``/healthz``;
 * :mod:`repro.serve.shard` / :mod:`repro.serve.router` — horizontal
   scale-out: ``--workers N`` forks N servers behind a consistent-hashing
   front router, so coalescing and the in-memory hot tier
@@ -46,7 +47,6 @@ from repro.serve.protocol import (
     normalize_request,
     normalize_simulate,
     normalize_sweep,
-    request_argv,
 )
 from repro.serve.router import ShardedServer
 from repro.serve.scheduler import Scheduler
@@ -70,5 +70,4 @@ __all__ = [
     "normalize_request",
     "normalize_simulate",
     "normalize_sweep",
-    "request_argv",
 ]

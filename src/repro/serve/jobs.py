@@ -15,15 +15,15 @@ completion so their results land in the exec cache.
 
 :func:`execute_request` is the single function every job runs — in a
 pool worker when the scheduler batches more than one job, inline
-otherwise. It replays the request through the CLI dispatcher with the
-argv from :func:`repro.serve.protocol.request_argv`, which makes served
-output byte-identical to the equivalent shell invocation *by
-construction* rather than by parallel reimplementation.
+otherwise. It calls the function whose text the equivalent CLI command
+prints (:func:`repro.cli.simulation_report` or
+:func:`repro.cli.run_experiment`), which makes served output
+byte-identical to the shell invocation *by construction* rather than by
+parallel reimplementation.
 """
 
 from __future__ import annotations
 
-import io
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -204,24 +204,44 @@ class JobTable:
 
 
 def execute_request(request: dict) -> dict:
-    """Run one normalised request exactly as the CLI would (worker side).
+    """Run one normalised request as its CLI command would (worker side).
 
     Returns the result envelope stored in the exec cache and returned to
-    clients: the CLI's stdout plus the argv that produced it. Library
-    errors propagate as exceptions so the exec layer's retry taxonomy
-    (fail fast on deterministic :class:`~repro.errors.ReproError`, retry
-    the rest) applies unchanged.
+    clients: the command's stdout. A sweep runs in its own serial exec
+    context with no cell cache; the server caches the whole envelope
+    under the job's content address instead. Library errors propagate as
+    exceptions so the exec layer's retry taxonomy (fail fast on
+    deterministic :class:`~repro.errors.ReproError`, retry the rest)
+    applies unchanged.
     """
     from repro import cli
-    from repro.serve.protocol import request_argv
 
-    argv = request_argv(request)
-    out = io.StringIO()
-    args = cli.build_parser().parse_args(argv)
-    with cli._engine_context(args):
-        cli._dispatch(args, out)
-    return {
-        "schema": "repro.serve-result/v1",
-        "argv": argv,
-        "output": out.getvalue(),
-    }
+    if request["kind"] == "simulate":
+        scenario = request.get("scenario")
+        if scenario is not None:
+            from repro.scenario import ScenarioSpec, ScenarioWorkload
+
+            workload = ScenarioWorkload(ScenarioSpec.from_dict(scenario))
+        else:
+            from repro.workloads.registry import get_workload
+
+            workload = get_workload(request["workload"])
+        trace = workload.generate(
+            seed=request["seed"], max_refs=request["max_refs"]
+        )
+        output = cli.simulation_report(
+            trace,
+            request["size"],
+            request["block"],
+            request["assoc"],
+            request["mtc"],
+        )
+    else:
+        from repro.exec import execution
+        from repro.mem.engines import use_engine
+
+        with execution(), use_engine(request["engine"]):
+            output = cli.run_experiment(
+                request["experiment"], request["max_refs"]
+            )
+    return {"schema": "repro.serve-result/v2", "output": output}

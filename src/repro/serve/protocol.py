@@ -43,7 +43,7 @@ from repro.errors import (
     ScenarioError,
     WorkloadError,
 )
-from repro.exec.keys import canonical_key, code_epoch, stable_hash
+from repro.exec.keys import code_epoch, stable_hash
 from repro.util import parse_size
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "normalize_request",
     "normalize_simulate",
     "normalize_sweep",
-    "request_argv",
 ]
 
 #: Version tag carried by job materials; bump on incompatible changes so
@@ -75,7 +74,7 @@ SIMULATE_DEFAULTS = {
 }
 
 #: Optional-field defaults for sweeps; ``None`` means "let the
-#: experiment's own default stand" and is omitted from argv.
+#: experiment's own default stand".
 SWEEP_DEFAULTS = {
     "max_refs": None,
     "engine": None,
@@ -273,39 +272,3 @@ def job_material(request: dict) -> dict:
 def job_id(material: dict) -> str:
     """Content-addressed job id (truncated SHA-256 of the material)."""
     return stable_hash(material)[:16]
-
-
-def request_argv(request: dict) -> list[str]:
-    """The CLI argv equivalent to a normalised request.
-
-    This is the byte-identity guarantee in one place: a served job runs
-    ``repro.cli`` with exactly this argv, so its output cannot differ
-    from the same invocation typed at a shell.
-    """
-    if request["kind"] == "simulate":
-        workload_arg = request.get("workload")
-        if workload_arg is None:
-            # Scenarios replay through the CLI's inline spelling; the
-            # canonical JSON round-trips to the identical canonical
-            # spec, so the served run and the shell run cannot differ.
-            workload_arg = "scenario:" + canonical_key(request["scenario"])
-        argv = [
-            "simulate",
-            workload_arg,
-            "--size", str(request["size"]),
-            "--block", str(request["block"]),
-            "--assoc", str(request["assoc"]),
-            "--max-refs", str(request["max_refs"]),
-            "--seed", str(request["seed"]),
-        ]
-        if request["mtc"]:
-            argv.append("--mtc")
-        return argv
-    if request["kind"] == "sweep":
-        argv = ["experiment", request["experiment"]]
-        if request["max_refs"] is not None:
-            argv += ["--max-refs", str(request["max_refs"])]
-        if request["engine"] is not None:
-            argv += ["--engine", request["engine"]]
-        return argv
-    raise ProtocolError(f"unknown request kind {request['kind']!r}")

@@ -67,11 +67,12 @@ Aggregation endpoints are answered by the router itself:
   gauges/percentiles stay inspectable without pretending summed
   percentiles mean anything.
 
-Shutdown mirrors the single-worker contract: SIGINT/SIGTERM stops the
-router's listener, forwards SIGTERM to the workers (each drains its
-running batch and cancels its queue), and joins them before exiting 0.
-Supervisors stand down at drain — a shard dying mid-drain is reaped, not
-respawned.
+The router is an :class:`~repro.serve.server.HttpServer`, so its
+connection loop and drain are the single-worker server's own.
+SIGINT/SIGTERM drains the router's connections, forwards SIGTERM to the
+workers (each drains its running batch and cancels its queue), and joins
+them before exiting 0. Supervisors stand down at drain — a shard dying
+mid-drain is reaped, not respawned.
 """
 
 from __future__ import annotations
@@ -84,23 +85,22 @@ import os
 import signal
 import socket
 import sys
-import threading
 import time
 
 from repro import obs
-from repro.errors import ConfigurationError, ProtocolError, ServeError
+from repro.errors import ConfigurationError
 from repro.exec.faults import FAULTS
 from repro.exec.resilience import RetryPolicy
 from repro.obs import OBS
 from repro.serve.protocol import job_id, job_material, normalize_request
 from repro.serve.server import (
     READ_TIMEOUT,
+    HttpServer,
     Reply,
     ServeConfig,
     SimulationServer,
     _json_reply,
-    _response,
-    _wants_keep_alive,
+    read_headers,
 )
 from repro.serve.shard import HashRing
 
@@ -246,14 +246,7 @@ class _WorkerPool:
         if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
             raise ConnectionError(f"malformed worker status line: {line!r}")
         status = int(parts[1])
-        headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = raw.decode("latin-1", "replace").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
+        headers = await read_headers(reader)
         length = int(headers.get("content-length", "0") or "0")
         body = await reader.readexactly(length) if length else b""
         return status, headers, body
@@ -401,10 +394,13 @@ class _ShardState:
         self.breaker = CircuitBreaker()
 
 
-class ShardedServer:
+class ShardedServer(HttpServer):
     """The ``--workers N`` frontend: fork, route, supervise, aggregate."""
 
+    REQUEST_COUNTER = "serve.router.requests"
+
     def __init__(self, config: ServeConfig) -> None:
+        super().__init__()
         if config.workers < 2:
             raise ConfigurationError(
                 f"ShardedServer needs workers >= 2, got {config.workers} "
@@ -417,18 +413,12 @@ class ShardedServer:
             else DEFAULT_RESTART_POLICY
         )
         self.ring = HashRing(list(range(config.workers)))
-        self.address: tuple[str, int] | None = None
-        self.ready = threading.Event()
-        self.draining = False
         self.worker_ports: list[int] = []
         self._shards: list[_ShardState] = []
         #: Kept in sync with each shard's live process object so the
         #: drain accounting (and tests) can reach the current children.
         self._procs: list[multiprocessing.Process] = []
         self._supervisors: list[asyncio.Task] = []
-        self._listener: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._shutdown_requested: asyncio.Event | None = None
         #: Requests routed per shard (also exported as counters).
         self.routed = [0] * config.workers
         #: Supervision counters, mirrored into /metrics and OBS.
@@ -436,15 +426,6 @@ class ShardedServer:
         self.failovers = 0
         self.breaker_opens = 0
         self.unavailable = 0
-        #: Open client connections, closed at drain (keep-alive peers
-        #: parked between requests must not stall shutdown).
-        self._connections: set[asyncio.StreamWriter] = set()
-        #: The subset currently *inside* a request. Drain spares these:
-        #: their handlers finish writing the in-flight response, then
-        #: exit (the post-response draining check), so a keep-alive
-        #: client never loses an answered request to shutdown timing.
-        self._busy: set[asyncio.StreamWriter] = set()
-        self._handler_tasks: set[asyncio.Task] = set()
 
     # -- worker lifecycle ----------------------------------------------------------
 
@@ -987,115 +968,18 @@ class ShardedServer:
             {},
         )
 
-    # -- connection handling -------------------------------------------------------
+    # -- request handling ----------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    parsed = await asyncio.wait_for(
-                        SimulationServer._read_request(reader),
-                        timeout=READ_TIMEOUT,
-                    )
-                except ProtocolError as exc:
-                    payload = {"error": {"type": type(exc).__name__,
-                                         "message": str(exc)}}
-                    writer.write(
-                        _response(
-                            exc.http_status,
-                            (json.dumps(payload, sort_keys=True) + "\n")
-                            .encode("utf-8"),
-                            "application/json",
-                            close=True,
-                        )
-                    )
-                    await writer.drain()
-                    return
-                except (
-                    asyncio.TimeoutError,
-                    asyncio.IncompleteReadError,
-                    OSError,
-                ):
-                    return
-                if parsed is None:
-                    return
-                method, target, body, version, req_headers = parsed
-                keep_alive = _wants_keep_alive(version, req_headers)
-                if OBS.enabled:
-                    OBS.count("serve.router.requests")
-                path = target.split("?", 1)[0]
-                self._busy.add(writer)
-                try:
-                    try:
-                        if path == "/healthz" and method == "GET":
-                            reply = await self._healthz()
-                        elif path == "/metrics" and method == "GET":
-                            reply = await self._metrics()
-                        else:
-                            shard = self._shard_for(method, target, body)
-                            reply = await self._proxy(
-                                shard, method, target, body
-                            )
-                    except ServeError as exc:
-                        payload = {"error": {"type": type(exc).__name__,
-                                             "message": str(exc)}}
-                        reply = _json_reply(exc.http_status, payload)
-                    except Exception as exc:  # router bug: 500, keep serving
-                        payload = {"error": {"type": type(exc).__name__,
-                                             "message": str(exc)}}
-                        reply = _json_reply(500, payload)
-                    status, payload_bytes, ctype, headers = reply
-                    closing = not keep_alive or self.draining
-                    writer.write(
-                        _response(
-                            status,
-                            payload_bytes,
-                            ctype,
-                            headers,
-                            close=closing,
-                        )
-                    )
-                    await writer.drain()
-                finally:
-                    self._busy.discard(writer)
-                if closing:
-                    return
-        finally:
-            self._connections.discard(writer)
-            if task is not None:
-                self._handler_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
+    async def _handle(self, method: str, target: str, body: bytes) -> Reply:
+        path = target.split("?", 1)[0]
+        if path == "/healthz" and method == "GET":
+            return await self._healthz()
+        if path == "/metrics" and method == "GET":
+            return await self._metrics()
+        shard = self._shard_for(method, target, body)
+        return await self._proxy(shard, method, target, body)
 
     # -- lifecycle -----------------------------------------------------------------
-
-    def shutdown(self) -> None:
-        """Request a graceful drain; safe to call from any thread.
-
-        Idempotent, including *after* the router has already exited —
-        a supervisor script (or test harness) that shuts down on every
-        path must not crash when drain already won the race.
-        """
-        loop = self._loop
-        if loop is not None:
-            try:
-                loop.call_soon_threadsafe(self._begin_shutdown)
-            except RuntimeError:
-                pass  # loop already closed: the drain is complete
-
-    def _begin_shutdown(self) -> None:
-        self.draining = True
-        if self._shutdown_requested is not None:
-            self._shutdown_requested.set()
 
     async def _main(self, install_signals: bool) -> int:
         self._loop = asyncio.get_running_loop()
@@ -1109,16 +993,13 @@ class ShardedServer:
         ]
         try:
             await self._initial_readiness()
-            self._listener = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port
-            )
+            await self._listen(host=self.config.host, port=self.config.port)
         except BaseException:
             self._begin_shutdown()
             for supervisor in self._supervisors:
                 supervisor.cancel()
             await asyncio.gather(*self._supervisors, return_exceptions=True)
             raise
-        self.address = self._listener.sockets[0].getsockname()[:2]
         if install_signals:
             for signum in (signal.SIGINT, signal.SIGTERM):
                 self._loop.add_signal_handler(signum, self._begin_shutdown)
@@ -1133,23 +1014,7 @@ class ShardedServer:
         )
         self.ready.set()
         await self._shutdown_requested.wait()
-        self._listener.close()
-        await self._listener.wait_closed()
-        for open_writer in list(self._connections):
-            if open_writer in self._busy:
-                # Mid-request: the handler finishes writing this response
-                # (with Connection: close) and exits on its own.
-                continue
-            try:
-                open_writer.close()
-            except Exception:
-                pass
-        # Closed sockets wake parked handlers with EOF; busy handlers
-        # finish their in-flight response. Wait for both so loop teardown
-        # never has to cancel one mid-read or mid-write.
-        pending = [task for task in self._handler_tasks if not task.done()]
-        if pending:
-            await asyncio.wait(pending, timeout=5.0)
+        await self._drain_connections()
         for supervisor in self._supervisors:
             supervisor.cancel()
         await asyncio.gather(*self._supervisors, return_exceptions=True)

@@ -2,10 +2,11 @@
 
 Stdlib-only by construction: requests are parsed directly off asyncio
 streams (no ``http.server``, no third-party framework), bodies capped at
-1 MiB. Connections are **keep-alive** by default (HTTP/1.1 semantics: a
-client that doesn't send ``Connection: close`` may pipeline sequential
-requests over one TCP connection); HTTP/1.0 peers get one request per
-connection unless they ask for ``keep-alive``. That is all the HTTP a
+1 MiB and lines at 64 KiB. Connections are **keep-alive** by default
+(HTTP/1.1 semantics: a client that doesn't send ``Connection: close``
+may pipeline sequential requests over one TCP connection); HTTP/1.0
+peers get one request per connection unless they ask for
+``keep-alive``. That is all the HTTP a
 batch-simulation service needs, and every byte of it is inspectable in
 this one module.
 
@@ -32,12 +33,18 @@ completes, queued jobs are cancelled, and the process exits 0. The obs
 facade is active for the server's lifetime so ``/metrics`` always has a
 live registry; the previous facade state is restored on exit.
 
-For multi-process serving (``repro serve --workers N``) this class is
-the per-shard backend: :class:`repro.serve.router.ShardedServer` binds
-the public socket, forks N workers each running a ``SimulationServer``
-on a pre-bound localhost socket (the ``sock`` parameter), and routes by
-consistent-hashed job id so coalescing and the hot tier keep their
-within-shard locality.
+For multi-process serving (``repro serve --workers N``)
+:class:`SimulationServer` is the per-shard backend:
+:class:`repro.serve.router.ShardedServer` binds the public socket, forks
+N workers each running a ``SimulationServer`` on a pre-bound localhost
+socket (the ``sock`` parameter), and routes by consistent-hashed job id
+so coalescing and the hot tier keep their within-shard locality.
+
+:class:`HttpServer` is the part both servers share: the keep-alive
+connection loop, the request parser, the error envelope and the drain.
+Once a drain begins every response carries ``Connection: close``; the
+drain closes the listener and the idle connections, lets a connection
+that is mid-request finish its response, then waits for the handlers.
 """
 
 from __future__ import annotations
@@ -66,14 +73,21 @@ from repro.serve.jobs import DEFAULT_JOB_HISTORY, DONE, JobRecord, JobTable
 from repro.serve.protocol import job_id, job_material, normalize_request
 from repro.serve.scheduler import Scheduler
 
-__all__ = ["ServeConfig", "SimulationServer"]
+__all__ = ["HttpServer", "ServeConfig", "SimulationServer"]
 
 #: Request-body ceiling; a simulate/sweep request is a few hundred bytes,
 #: so anything near this is a client bug, not a bigger valid request.
 MAX_BODY_BYTES = 1 << 20
 
+#: Longest request line or header line; a longer one is answered 400.
+#: It is the asyncio stream limit, named here so the error can say it.
+MAX_LINE_BYTES = 1 << 16
+
 #: Per-connection read budget; protects the accept loop from stalled peers.
 READ_TIMEOUT = 30.0
+
+#: How long a drain waits for connection handlers to unwind.
+DRAIN_TIMEOUT = 5.0
 
 _REASONS = {
     200: "OK",
@@ -145,6 +159,12 @@ def _json_reply(
     return status, _json_bytes(payload), "application/json", headers or {}
 
 
+def _error_json(status: int, exc: Exception) -> Reply:
+    """The ``{"error": {"type", "message"}}`` envelope every error uses."""
+    payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    return _json_reply(status, payload)
+
+
 def _response(
     status: int,
     body: bytes,
@@ -174,12 +194,221 @@ def _wants_keep_alive(version: str, headers: dict[str, str]) -> bool:
     return True
 
 
-class SimulationServer:
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:
+        # StreamReader.readline's report of a line past the stream limit.
+        raise ProtocolError(
+            f"request line or header longer than the "
+            f"{MAX_LINE_BYTES}-byte limit"
+        ) from None
+
+
+async def read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
+    """The header lines after an HTTP/1.x start line, names lowercased.
+
+    Requests and the router's worker responses both use it.
+    """
+    headers: dict[str, str] = {}
+    while True:
+        raw = await _read_line(reader)
+        if raw in (b"\r\n", b"\n", b""):
+            return headers
+        name, sep, value = raw.decode("latin-1", "replace").partition(":")
+        if sep:
+            headers[name.strip().lower()] = value.strip()
+        if len(headers) > 100:
+            raise ProtocolError("too many request headers")
+
+
+async def _next_request(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, bytes, str, dict[str, str]] | None:
+    """Parse one HTTP/1.x request head + body off the stream.
+
+    Returns ``(method, target, body, version, headers)``, or ``None``
+    when the peer closed without sending anything; raises
+    :class:`ProtocolError` for requests this server will not interpret
+    (the connection still gets a clean 400).
+    """
+    line = await _read_line(reader)
+    if not line:
+        return None
+    parts = line.decode("latin-1", "replace").split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise ProtocolError(f"malformed request line: {line!r}")
+    method, target, version = parts[0].upper(), parts[1], parts[2]
+    headers = await read_headers(reader)
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        raise ProtocolError("Content-Length is not an integer") from None
+    if length < 0 or length > MAX_BODY_BYTES:
+        raise ProtocolError(
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit"
+        )
+    body = await reader.readexactly(length) if length else b""
+    return method, target, body, version, headers
+
+
+class HttpServer:
+    """The HTTP/1.x front both servers share: one keep-alive connection
+    loop, one error envelope, one drain.
+
+    A subclass answers a parsed request in :meth:`_handle` and names the
+    counter bumped per request in :attr:`REQUEST_COUNTER`. Everything
+    about connections lives here: keep-alive, :data:`READ_TIMEOUT`, the
+    400 and 500 replies, ``Connection: close`` once draining, and the
+    drain itself (:meth:`_drain_connections`).
+    """
+
+    #: The obs counter bumped once per parsed request.
+    REQUEST_COUNTER = "serve.requests"
+
+    def __init__(self) -> None:
+        #: (host, port) actually bound — resolves ``port=0`` requests.
+        self.address: tuple[str, int] | None = None
+        #: Set once the listener is bound (cross-thread test harnesses).
+        self.ready = threading.Event()
+        self.draining = False
+        self._listener: asyncio.AbstractServer | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._shutdown_requested: asyncio.Event | None = None
+        #: Open client connections (keep-alive means they outlive single
+        #: requests); the idle ones are closed at drain so shutdown never
+        #: hangs on a peer parked between requests.
+        self._connections: set[asyncio.StreamWriter] = set()
+        #: The subset currently *inside* a request. Drain spares these:
+        #: their handlers finish writing the in-flight response (with
+        #: ``Connection: close``), then exit, so a keep-alive client never
+        #: loses an answered request to shutdown timing.
+        self._busy: set[asyncio.StreamWriter] = set()
+        self._handler_tasks: set[asyncio.Task] = set()
+
+    async def _handle(self, method: str, target: str, body: bytes) -> Reply:
+        """Answer one parsed request (a :class:`ServeError` becomes its
+        status; anything else a 500)."""
+        raise NotImplementedError
+
+    def _error_reply(self, exc: ServeError) -> Reply:
+        return _error_json(exc.http_status, exc)
+
+    async def _listen(self, **where) -> None:
+        """Bind the listener (``sock=`` or ``host=``/``port=``)."""
+        self._listener = await asyncio.start_server(
+            self._handle_connection, limit=MAX_LINE_BYTES, **where
+        )
+        self.address = self._listener.sockets[0].getsockname()[:2]
+
+    def shutdown(self) -> None:
+        """Request a graceful drain; safe to call from any thread.
+
+        Idempotent, including *after* the server has already exited —
+        a supervisor script (or test harness) that shuts down on every
+        path must not crash when drain already won the race.
+        """
+        loop = self._loop
+        if loop is not None:
+            try:
+                loop.call_soon_threadsafe(self._begin_shutdown)
+            except RuntimeError:
+                pass  # loop already closed: the drain is complete
+
+    def _begin_shutdown(self) -> None:
+        self.draining = True
+        if self._shutdown_requested is not None:
+            self._shutdown_requested.set()
+
+    async def _drain_connections(self) -> None:
+        """Close the listener and the idle connections; let busy ones
+        finish their response, then wait for every handler."""
+        if self._listener is not None:
+            self._listener.close()
+            await self._listener.wait_closed()
+        for writer in list(self._connections - self._busy):
+            try:
+                writer.close()
+            except Exception:
+                pass
+        # Closed sockets wake parked handlers with EOF; busy handlers
+        # finish their in-flight response. Wait for both so loop teardown
+        # never has to cancel one mid-read or mid-write.
+        pending = [task for task in self._handler_tasks if not task.done()]
+        if pending:
+            await asyncio.wait(pending, timeout=DRAIN_TIMEOUT)
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve requests off one connection until it closes.
+
+        Keep-alive is decided per request: the loop continues while both
+        sides agree (HTTP/1.1 without ``Connection: close``) and no drain
+        has begun. Each iteration is bounded by :data:`READ_TIMEOUT`,
+        which doubles as the idle timeout between keep-alive requests.
+        """
+        task = asyncio.current_task()
+        if task is not None:
+            self._handler_tasks.add(task)
+        self._connections.add(writer)
+        try:
+            while True:
+                try:
+                    parsed = await asyncio.wait_for(
+                        _next_request(reader), timeout=READ_TIMEOUT
+                    )
+                except ProtocolError as exc:
+                    writer.write(_response(*self._error_reply(exc)))
+                    await writer.drain()
+                    return
+                except (
+                    asyncio.TimeoutError,
+                    asyncio.IncompleteReadError,
+                    OSError,
+                ):
+                    return  # peer stalled or vanished; nothing to answer
+                if parsed is None:
+                    return  # clean close between requests
+                method, target, body, version, req_headers = parsed
+                if OBS.enabled:
+                    OBS.count(self.REQUEST_COUNTER)
+                self._busy.add(writer)
+                try:
+                    try:
+                        reply = await self._handle(method, target, body)
+                    except ServeError as exc:
+                        reply = self._error_reply(exc)
+                    except Exception as exc:  # handler bug: 500, keep serving
+                        reply = _error_json(500, exc)
+                    closing = self.draining or not _wants_keep_alive(
+                        version, req_headers
+                    )
+                    writer.write(_response(*reply, close=closing))
+                    await writer.drain()
+                finally:
+                    self._busy.discard(writer)
+                if closing:
+                    return
+        finally:
+            self._connections.discard(writer)
+            if task is not None:
+                self._handler_tasks.discard(task)
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                pass
+
+
+class SimulationServer(HttpServer):
     """One service instance: listener + job table + queue + scheduler."""
 
     def __init__(
         self, config: ServeConfig, *, sock: socket.socket | None = None
     ) -> None:
+        super().__init__()
         self.config = config
         self.table = JobTable(history=config.job_history)
         self.queue = AdmissionQueue(config.queue_depth)
@@ -209,20 +438,7 @@ class SimulationServer:
             cache=cache,
             retry=config.retry,
         )
-        #: (host, port) actually bound — resolves ``port=0`` requests.
-        self.address: tuple[str, int] | None = None
-        #: Set once the listener is bound (cross-thread test harnesses).
-        self.ready = threading.Event()
-        self.draining = False
-        self._listener: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._shutdown_requested: asyncio.Event | None = None
         self._scheduler_task: asyncio.Task | None = None
-        #: Open client connections (keep-alive means they outlive single
-        #: requests); closed at drain so shutdown never hangs on an idle
-        #: peer parked between requests.
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._handler_tasks: set[asyncio.Task] = set()
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -231,58 +447,11 @@ class SimulationServer:
         self._loop = asyncio.get_running_loop()
         self._shutdown_requested = asyncio.Event()
         if self._sock is not None:
-            self._listener = await asyncio.start_server(
-                self._handle_connection, sock=self._sock
-            )
+            await self._listen(sock=self._sock)
         else:
-            self._listener = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port
-            )
-        self.address = self._listener.sockets[0].getsockname()[:2]
+            await self._listen(host=self.config.host, port=self.config.port)
         self._scheduler_task = asyncio.create_task(self.scheduler.run())
         self.ready.set()
-
-    def shutdown(self) -> None:
-        """Request a graceful drain; safe to call from any thread.
-
-        Idempotent, including *after* the server has already exited:
-        the closed loop's ``RuntimeError`` means the drain is complete.
-        """
-        loop = self._loop
-        if loop is not None:
-            try:
-                loop.call_soon_threadsafe(self._begin_shutdown)
-            except RuntimeError:
-                pass  # loop already closed: the drain is complete
-
-    def _begin_shutdown(self) -> None:
-        self.draining = True
-        if self._shutdown_requested is not None:
-            self._shutdown_requested.set()
-
-    async def _drain(self) -> int:
-        """Finish the running batch, cancel the queue, close the listener."""
-        self.scheduler.stop()
-        drained = 0
-        if self._scheduler_task is not None:
-            try:
-                drained = await self._scheduler_task
-            except Exception as exc:  # pragma: no cover - scheduler bug
-                print(f"scheduler crashed during drain: {exc}", file=sys.stderr)
-        if self._listener is not None:
-            self._listener.close()
-            await self._listener.wait_closed()
-        for writer in list(self._connections):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        # Closed sockets wake parked handlers with EOF; wait for them to
-        # unwind so the loop shuts down without cancelling anything.
-        pending = [task for task in self._handler_tasks if not task.done()]
-        if pending:
-            await asyncio.wait(pending, timeout=2.0)
-        return drained
 
     async def _main(self, install_signals: bool) -> int:
         await self.start()
@@ -305,7 +474,15 @@ class SimulationServer:
             flush=True,
         )
         await self._shutdown_requested.wait()
-        drained = await self._drain()
+        # Finish the running batch and cancel the queue first: until
+        # then clients can still poll the running jobs.
+        self.scheduler.stop()
+        drained = 0
+        try:
+            drained = await self._scheduler_task
+        except Exception as exc:  # pragma: no cover - scheduler bug
+            print(f"scheduler crashed during drain: {exc}", file=sys.stderr)
+        await self._drain_connections()
         print(
             f"shutting down: drained {drained} in-flight job(s), "
             f"{self.scheduler.cancelled} cancelled",
@@ -333,142 +510,33 @@ class SimulationServer:
             if self.config.trace_spans is not None and not tracing_before:
                 TRACER.deactivate()
 
-    # -- connection handling -------------------------------------------------------
+    # -- request handling ----------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve requests off one connection until it closes.
-
-        Keep-alive is decided per request: the loop continues while both
-        sides agree (HTTP/1.1 without ``Connection: close``). Each
-        iteration is bounded by :data:`READ_TIMEOUT`, which doubles as
-        the idle timeout between keep-alive requests.
-        """
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    parsed = await asyncio.wait_for(
-                        self._read_request(reader), timeout=READ_TIMEOUT
-                    )
-                except ProtocolError as exc:
-                    status, body, ctype, headers = self._error_reply(exc)
-                    writer.write(
-                        _response(status, body, ctype, headers, close=True)
-                    )
-                    await writer.drain()
-                    return
-                except (
-                    asyncio.TimeoutError,
-                    asyncio.IncompleteReadError,
-                    OSError,
-                ):
-                    return  # peer stalled or vanished; nothing to answer
-                if parsed is None:
-                    return  # clean close between requests
-                method, target, body, version, req_headers = parsed
-                keep_alive = _wants_keep_alive(version, req_headers)
-                if OBS.enabled:
-                    OBS.count("serve.requests")
-                if FAULTS.active:
-                    # Serve-layer chaos hooks: the request is parsed (so
-                    # the label carries method + path) but not yet acted
-                    # on, which makes a fired shard.kill a mid-request
-                    # crash the router must absorb with zero client
-                    # failures. shard.kill is inert in the process that
-                    # armed the plan (see FaultPlan.fire), so only forked
-                    # shards ever die here.
-                    tag = (
-                        f"shard{self.config.shard}"
-                        if self.config.shard is not None
-                        else "serve"
-                    )
-                    label = f"{tag}:{method} {target.split('?', 1)[0]}"
-                    FAULTS.fire("shard.slow", label)
-                    FAULTS.fire("shard.kill", label)
-                try:
-                    status, payload, ctype, headers = self._route(
-                        method, target, body
-                    )
-                except ServeError as exc:
-                    status, payload, ctype, headers = self._error_reply(exc)
-                except Exception as exc:  # route bug: 500, keep serving
-                    status, payload, ctype, headers = _json_reply(
-                        500,
-                        {"error": {"type": type(exc).__name__,
-                                   "message": str(exc)}},
-                    )
-                writer.write(
-                    _response(
-                        status, payload, ctype, headers, close=not keep_alive
-                    )
-                )
-                await writer.drain()
-                if not keep_alive:
-                    return
-        finally:
-            self._connections.discard(writer)
-            if task is not None:
-                self._handler_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    @staticmethod
-    def _error_reply(exc: ServeError) -> Reply:
-        if OBS.enabled and isinstance(exc, AdmissionRejected):
-            OBS.count("serve.rejected")
-        headers = {}
-        if isinstance(exc, AdmissionRejected):
-            headers["Retry-After"] = str(int(exc.retry_after))
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        return _json_reply(exc.http_status, payload, headers)
-
-    @staticmethod
-    async def _read_request(
-        reader: asyncio.StreamReader,
-    ) -> tuple[str, str, bytes, str, dict[str, str]] | None:
-        """Parse one HTTP/1.x request head + body off the stream.
-
-        Returns ``(method, target, body, version, headers)``, or ``None``
-        when the peer closed without sending anything; raises
-        :class:`ProtocolError` for requests this server will not
-        interpret (the connection still gets a clean 400).
-        """
-        line = await reader.readline()
-        if not line:
-            return None
-        parts = line.decode("latin-1", "replace").split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise ProtocolError(f"malformed request line: {line!r}")
-        method, target, version = parts[0].upper(), parts[1], parts[2]
-        headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = raw.decode("latin-1", "replace").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-            if len(headers) > 100:
-                raise ProtocolError("too many request headers")
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            raise ProtocolError("Content-Length is not an integer") from None
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise ProtocolError(
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit"
+    async def _handle(self, method: str, target: str, body: bytes) -> Reply:
+        if FAULTS.active:
+            # Serve-layer chaos hooks: the request is parsed (so the
+            # label carries method + path) but not yet acted on, which
+            # makes a fired shard.kill a mid-request crash the router
+            # must absorb with zero client failures. shard.kill is inert
+            # in the process that armed the plan (see FaultPlan.fire), so
+            # only forked shards ever die here.
+            tag = (
+                f"shard{self.config.shard}"
+                if self.config.shard is not None
+                else "serve"
             )
-        body = await reader.readexactly(length) if length else b""
-        return method, target, body, version, headers
+            label = f"{tag}:{method} {target.split('?', 1)[0]}"
+            FAULTS.fire("shard.slow", label)
+            FAULTS.fire("shard.kill", label)
+        return self._route(method, target, body)
+
+    def _error_reply(self, exc: ServeError) -> Reply:
+        status, body, ctype, headers = super()._error_reply(exc)
+        if isinstance(exc, AdmissionRejected):
+            if OBS.enabled:
+                OBS.count("serve.rejected")
+            headers["Retry-After"] = str(int(exc.retry_after))
+        return status, body, ctype, headers
 
     # -- routing -------------------------------------------------------------------
 

@@ -71,8 +71,10 @@ class MemTrace:
             )
         if addr.size and addr.min() < 0:
             raise TraceError("trace contains a negative address")
-        # Word-align every address; simulators all operate on words.
-        self._addresses = (addr & ~np.int64(WORD_BYTES - 1)).copy()
+        # Word-align every address; simulators all operate on words. The
+        # mask returns a new array; np.asarray may alias a bool input, so
+        # the write flags are copied.
+        self._addresses = addr & ~np.int64(WORD_BYTES - 1)
         self._addresses.setflags(write=False)
         self._is_write = writes.copy()
         self._is_write.setflags(write=False)

@@ -111,6 +111,28 @@ class TestCommands:
         text = run_cli("experiment", "table9", "--max-refs", "20000")
         assert "blocksize" in text
 
+    def test_type_error_inside_run_is_not_retried_at_full_length(
+        self, monkeypatch
+    ):
+        from repro.experiments import table7
+
+        calls = []
+
+        def broken_run(*, max_refs=None):
+            calls.append(max_refs)
+            if max_refs is not None:
+                raise TypeError("a bug inside run")
+            return "full-length result"
+
+        monkeypatch.setattr(table7, "run", broken_run)
+        monkeypatch.setattr(table7, "render", lambda result: result)
+        with pytest.raises(TypeError, match="a bug inside run"):
+            main(
+                ["experiment", "table7", "--max-refs", "2000", "--no-cache"],
+                out=io.StringIO(),
+            )
+        assert calls == [2000]
+
 
 class TestObservabilityFlags:
     def test_unwritable_trace_events_path_is_a_clean_error(self, capsys):

@@ -1,4 +1,4 @@
-"""Tests for the serve wire protocol: normalisation, ids, argv round-trip."""
+"""Tests for the serve wire protocol: normalisation and ids."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.serve.protocol import (
     normalize_request,
     normalize_simulate,
     normalize_sweep,
-    request_argv,
 )
 
 
@@ -136,39 +135,6 @@ class TestJobIds:
         assert all(c in "0123456789abcdef" for c in identifier)
 
 
-class TestRequestArgv:
-    def test_simulate_argv_parses_back_identically(self):
-        from repro.cli import build_parser
-
-        request = normalize_simulate(
-            {"workload": "Espresso", "size": "4KB", "mtc": True}
-        )
-        argv = request_argv(request)
-        args = build_parser().parse_args(argv)
-        assert normalize_simulate(
-            {
-                "workload": args.workload,
-                "size": args.size,
-                "block": args.block,
-                "assoc": args.assoc,
-                "mtc": args.mtc,
-                "max_refs": args.max_refs,
-                "seed": args.seed,
-            }
-        ) == request
-
-    def test_sweep_argv_omits_unset_options(self):
-        assert request_argv(normalize_sweep({"experiment": "table7"})) == [
-            "experiment",
-            "table7",
-        ]
-        assert request_argv(
-            normalize_sweep(
-                {"experiment": "table7", "max_refs": 500, "engine": "scalar"}
-            )
-        ) == ["experiment", "table7", "--max-refs", "500", "--engine", "scalar"]
-
-
 class TestExposition:
     def test_groups_and_sorting(self):
         from repro.obs.registry import MetricsRegistry
@@ -262,17 +228,3 @@ class TestNormalizeScenario:
     def test_invalid_spec_is_a_protocol_error(self):
         with pytest.raises(ProtocolError, match="scenario"):
             normalize_simulate({"scenario": {"pattern": {"kind": "bogus"}}})
-
-    def test_argv_round_trips_through_the_cli_parser(self):
-        from repro.cli import build_parser
-        from repro.scenario import ScenarioSpec, resolve_spec_argument
-
-        request = normalize_simulate(
-            {"scenario": dict(self.SPEC), "size": "64KB"}
-        )
-        argv = request_argv(request)
-        args = build_parser().parse_args(argv)
-        assert args.command == "simulate"
-        spec = resolve_spec_argument(args.workload)
-        assert spec == ScenarioSpec.from_dict(self.SPEC)
-        assert args.size == str(request["size"])

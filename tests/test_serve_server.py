@@ -81,8 +81,8 @@ class TestServedResults:
         assert record["result"]["output"] == direct
 
     def test_sweep_is_byte_identical_to_the_cli(self, tmp_path, monkeypatch):
-        # The served sweep's nested experiment run and the direct run
-        # share this exec cache, so the second pass is all cache hits.
+        # Keeps the direct run's cell cache out of the working directory;
+        # the served sweep keeps no cell cache of its own.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         with running_server(cache_dir=str(tmp_path / "cache")) as (_, client):
             record = client.run(
@@ -92,6 +92,62 @@ class TestServedResults:
             )
         direct = run_cli("experiment", "table7", "--max-refs", "2000")
         assert record["result"]["output"] == direct
+
+    def test_scenario_with_mtc_is_byte_identical_to_the_cli(self):
+        import json
+
+        spec = {
+            "name": "served-mix",
+            "refs": 5000,
+            "seed": 3,
+            "tenants": [
+                {"pattern": {"kind": "zipfian"}, "footprint": "64KB"},
+                {"pattern": {"kind": "sequential"}, "footprint": "32KB"},
+            ],
+        }
+        with running_server() as (_, client):
+            record = client.run(
+                "simulate",
+                {"scenario": spec, "size": "8KB", "mtc": True,
+                 "max_refs": 5000},
+                timeout=60,
+            )
+        direct = run_cli(
+            "simulate", "scenario:" + json.dumps(spec),
+            "--size", "8KB", "--max-refs", "5000", "--mtc",
+        )
+        assert "inefficiency G" in direct
+        assert record["result"]["output"] == direct
+
+    def test_sweep_with_engine_is_byte_identical_to_the_cli(self):
+        with running_server() as (_, client):
+            record = client.run(
+                "sweep",
+                {"experiment": "table8", "max_refs": 2000,
+                 "engine": "scalar"},
+                timeout=120,
+            )
+        direct = run_cli(
+            "experiment", "table8", "--max-refs", "2000",
+            "--engine", "scalar", "--no-cache",
+        )
+        assert record["result"]["output"] == direct
+        assert "argv" not in record["result"]
+
+    def test_served_sweep_keeps_no_cell_cache(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        with running_server(cache_dir=str(tmp_path / "serve-cache")) as (
+            _,
+            client,
+        ):
+            record = client.run(
+                "sweep",
+                {"experiment": "table7", "max_refs": 2000},
+                timeout=120,
+            )
+        assert record["state"] == "done"
+        assert not (tmp_path / ".repro-cache").exists()
 
     def test_submit_cli_prints_the_served_output(self, tmp_path, capsys):
         with running_server(cache_dir=str(tmp_path / "cache")) as (
@@ -636,6 +692,95 @@ class TestKeepAlive:
             assert client.healthz()["status"] == "ok"
 
 
+@pytest.fixture(scope="class")
+def router_address():
+    """A 2-worker sharded router on an ephemeral port, for one class."""
+    from repro.serve.router import ShardedServer
+
+    server = ShardedServer(ServeConfig(port=0, workers=2))
+    codes: list[int] = []
+    thread = threading.Thread(
+        target=lambda: codes.append(server.run(install_signals=False)),
+        daemon=True,
+    )
+    thread.start()
+    assert server.ready.wait(60), "router never came up"
+    try:
+        yield server.address
+    finally:
+        server.shutdown()
+        thread.join(60)
+        assert not thread.is_alive(), "router thread failed to exit"
+    assert codes == [0]
+
+
+def _exchange(address, raw: bytes) -> bytes:
+    """Send *raw* on a fresh socket; read until the server closes it."""
+    import socket as socket_module
+
+    with socket_module.create_connection(address, timeout=10) as sock:
+        sock.sendall(raw)
+        data = b""
+        while chunk := sock.recv(4096):
+            data += chunk
+    return data
+
+
+#: Requests with one line past the 64 KiB stream limit.
+OVERLONG = {
+    "header": b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000
+    + b"\r\n\r\n",
+    "request-line": b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+}
+
+
+def _assert_overlong_is_a_400(address, line: str) -> None:
+    data = _exchange(address, OVERLONG[line])
+    assert data.startswith(b"HTTP/1.1 400 "), data[:200]
+    assert b"Connection: close" in data
+    assert b"ProtocolError" in data
+    assert b"65536-byte limit" in data
+
+
+class TestOverlongLines:
+    @pytest.mark.parametrize("line", sorted(OVERLONG))
+    def test_single_server_answers_400_and_keeps_serving(self, line):
+        with running_server() as (server, client):
+            _assert_overlong_is_a_400(server.address, line)
+            assert client.healthz()["status"] == "ok"
+
+
+class TestRouterConnectionLoop:
+    """The router serves clients through the single server's loop."""
+
+    def test_connection_close_is_honoured(self, router_address):
+        import http.client
+
+        connection = http.client.HTTPConnection(*router_address, timeout=30)
+        connection.request("GET", "/healthz", headers={"Connection": "close"})
+        response = connection.getresponse()
+        response.read()
+        connection.close()
+        assert response.will_close
+        assert response.getheader("Connection") == "close"
+
+    def test_http_10_defaults_to_close(self, router_address):
+        data = _exchange(
+            router_address, b"GET /healthz HTTP/1.0\r\nHost: x\r\n\r\n"
+        )
+        assert b"Connection: close" in data
+        assert b'"role": "router"' in data
+
+    @pytest.mark.parametrize("line", sorted(OVERLONG))
+    def test_overlong_line_is_a_400_and_routing_goes_on(
+        self, router_address, line
+    ):
+        _assert_overlong_is_a_400(router_address, line)
+        host, port = router_address
+        with ServeClient(f"http://{host}:{port}", timeout=30) as client:
+            assert client.healthz()["status"] == "ok"
+
+
 class TestJobHistory:
     def test_history_bounds_terminal_records_and_cache_recovers(
         self, tmp_path
@@ -738,6 +883,44 @@ class TestGracefulShutdown:
         with running_server() as (server, _):
             pass
         server.shutdown()  # the loop is closed: nothing left to drain
+
+    def test_draining_server_closes_keep_alive_connections(self, monkeypatch):
+        import http.client
+        import json
+
+        started = threading.Event()
+        release = threading.Event()
+
+        def slow_execute(request):
+            started.set()
+            assert release.wait(30)
+            return {"output": "one\n"}
+
+        monkeypatch.setattr("repro.serve.jobs.execute_request", slow_execute)
+        with running_server() as (server, client):
+            client.submit_simulate(workload="Espresso", max_refs=5000)
+            assert started.wait(10)
+            connection = http.client.HTTPConnection(*server.address, timeout=10)
+            try:
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.getheader("Connection") == "keep-alive"
+                # The running job holds the drain open: the listener and
+                # this connection stay up until its batch finishes.
+                server.shutdown()
+                deadline = time.monotonic() + 10
+                while not server.draining:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                assert payload["status"] == "draining"
+                assert response.getheader("Connection") == "close"
+            finally:
+                connection.close()
+                release.set()
 
     def test_sigint_drains_and_exits_zero(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -42,6 +42,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             trace.addresses[0] = 100
 
+    def test_caller_arrays_are_not_aliased(self):
+        # Already the dtypes MemTrace keeps, so np.asarray returns the
+        # caller's own arrays; the trace must not share them.
+        addresses = np.array([0, 8, 16], dtype=np.int64)
+        writes = np.array([False, True, False])
+        trace = MemTrace(addresses, writes)
+        addresses[:] = 1024
+        writes[:] = True
+        assert trace.addresses.tolist() == [0, 8, 16]
+        assert trace.is_write.tolist() == [False, True, False]
+
     def test_from_records_round_trip(self):
         records = [MemRecord(0, False), MemRecord(8, True)]
         trace = MemTrace.from_records(records)
