@@ -1,21 +1,15 @@
-"""Repository-root pytest configuration: execution-layer options.
-
-Placed at the root (above both ``tests/`` and ``benchmarks/``) so one
-``pytest_addoption`` serves every suite:
+"""Repository-root pytest configuration: the ``--jobs`` option.
 
 ``--jobs N``
     Run experiment sweeps on a process pool of N workers. The default 1
     keeps the serial path — the suite's results are identical either
     way (that equality is itself under test in
     ``tests/test_exec_parallel.py``).
-``--exec-cache``
-    Enable the on-disk result cache (off by default so tests always
-    exercise real simulation; benchmarks opt in to measure warm-cache
-    behaviour).
 
-Both options configure the process-wide :data:`repro.exec.EXEC` facade
-once per session; with neither given the facade is never imported and
-the suite behaves exactly as before the execution layer existed.
+The option configures the process-wide :data:`repro.exec.EXEC` facade
+once per session; without it the facade is never imported and the suite
+behaves exactly as before the execution layer existed. The result cache
+stays off, so tests always exercise real simulation.
 """
 
 from __future__ import annotations
@@ -29,35 +23,25 @@ def pytest_addoption(parser):
         default=1,
         help="worker processes for experiment sweeps (default: 1, serial)",
     )
-    group.addoption(
-        "--exec-cache",
-        action="store_true",
-        default=False,
-        help="enable the on-disk result cache (.repro-cache/) for the run",
-    )
 
 
 def pytest_configure(config):
     jobs = config.getoption("--jobs")
-    use_cache = config.getoption("--exec-cache")
-    if jobs == 1 and not use_cache:
+    if jobs == 1:
         return
     import pytest
 
     from repro.errors import ConfigurationError
-    from repro.exec import configure_exec, default_cache_dir
+    from repro.exec import configure_exec
 
     try:
-        configure_exec(
-            jobs=jobs,
-            cache_dir=default_cache_dir() if use_cache else None,
-        )
+        configure_exec(jobs=jobs, cache_dir=None)
     except ConfigurationError as exc:
         raise pytest.UsageError(str(exc)) from exc
 
 
 def pytest_unconfigure(config):
-    if config.getoption("--jobs") == 1 and not config.getoption("--exec-cache"):
+    if config.getoption("--jobs") == 1:
         return
     from repro.exec import configure_exec
 

@@ -3,12 +3,12 @@
 Run from the repository root (starts its own in-process server tree on
 ephemeral ports unless ``--server`` points at a running one):
 
-    PYTHONPATH=src python scripts/load_serve.py [--workers N] [--clients N]
+    PYTHONPATH=src python scripts/load_serve.py [--workers N] [--output PATH]
 
 The measurement has two parts.
 
 **Phase split (cold / warm / hot).** The tiered result cache gives the
-same request three very different service paths, and the v3 baseline
+same request three very different service paths, and the v3 summary
 measures each on the same request set:
 
 * *cold* — a fresh cache root: every request computes. This is the
@@ -34,10 +34,10 @@ With ``--workers N`` (default 2) the tree is the sharded router
 (``repro serve --workers N``): the summary additionally reports how the
 consistent-hash ring spread the distinct requests across shards.
 
-The summary prints to stdout and is written to ``BENCH_serve.json`` —
-the committed baseline tracked by ``benchmarks/test_bench_serve.py`` and
-re-checked by ``scripts/check_bench.py``. Percentiles are exact over
-the held samples (:func:`repro.obs.hist.percentile_interpolated`).
+The summary prints to stdout; ``--output PATH`` also writes it as JSON
+(schema ``repro.bench-serve/v3``), which the chaos CI jobs read back.
+Percentiles are exact over the held samples
+(:func:`repro.obs.hist.percentile_interpolated`).
 """
 
 from __future__ import annotations
@@ -354,8 +354,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-refs", type=int, default=20_000)
     parser.add_argument(
         "--output",
-        default="BENCH_serve.json",
-        help="summary path (default: BENCH_serve.json)",
+        default=None,
+        help="also write the summary as JSON to this path (default: print only)",
     )
     args = parser.parse_args(argv)
 
@@ -379,10 +379,11 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     print(render(summary))
-    Path(args.output).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"\nwrote {args.output}")
+    if args.output is not None:
+        Path(args.output).write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        )
+        print(f"\nwrote {args.output}")
     if summary.get("failures"):
         print(
             f"{summary['failures']} client request(s) failed",

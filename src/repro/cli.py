@@ -24,8 +24,8 @@ Commands
     Print trace statistics (footprint, locality measures).
 ``profile EXPERIMENT``
     Run one experiment under the instrumentation layer and print a
-    stage/throughput profile; writes machine-readable
-    ``BENCH_profile.json``.
+    stage/throughput profile; ``--output PATH`` also writes it as
+    machine-readable JSON.
 ``cache stats|clear|mrc``
     Inspect or empty the on-disk result cache (see docs/performance.md).
     ``stats --json`` emits the machine-readable form (entry/byte/
@@ -448,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--output",
         metavar="PATH",
-        default="BENCH_profile.json",
-        help="machine-readable profile destination (default: BENCH_profile.json)",
+        default=None,
+        help="also write the profile as JSON to PATH (default: print only)",
     )
     profile.add_argument(
         "--jobs",
@@ -1073,14 +1073,26 @@ def _cmd_profile(args, out) -> None:
         write_profile,
     )
 
-    profile, rendered = profile_experiment(
-        args.name, max_refs=args.max_refs, jobs=args.jobs
-    )
-    print(rendered, file=out)
-    print(file=out)
-    print(render_profile(profile), file=out)
-    write_profile(profile, args.output)
-    print(f"\nwrote {args.output}", file=out)
+    # Open the destination before the run, so a bad path fails at once
+    # instead of after the whole experiment.
+    destination = contextlib.nullcontext()
+    if args.output is not None:
+        try:
+            destination = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot open --output path {args.output!r}: {exc}"
+            ) from exc
+    with destination as handle:
+        profile, rendered = profile_experiment(
+            args.name, max_refs=args.max_refs, jobs=args.jobs
+        )
+        print(rendered, file=out)
+        print(file=out)
+        print(render_profile(profile), file=out)
+        if handle is not None:
+            write_profile(profile, handle)
+            print(f"\nwrote {args.output}", file=out)
 
 
 def _cmd_cache(args, out) -> None:

@@ -33,7 +33,7 @@ alive through the failures that parallel full-trace sweeps attract:
 Defaults are serial and uncached — identical behaviour to a build
 without this layer. Entry points opt in: the CLI via ``--jobs`` /
 ``--no-cache`` / ``--retries`` / ``--task-timeout`` / ``--inject-fault``,
-pytest via ``--jobs`` / ``--exec-cache``, and
+pytest via ``--jobs``, and
 ``scripts/regenerate_experiments.py`` via its own flags. See
 docs/performance.md for the cache layout and measured numbers, and
 docs/robustness.md for the failure taxonomy and recovery ladder.

@@ -27,9 +27,10 @@ Failure handling (see docs/robustness.md for the full ladder):
   deliberate library errors fail fast, everything else retries. A task
   that exhausts its pool budget is escalated to the serial path with a
   fresh budget before the run fails with :class:`~repro.errors.TaskError`.
-* A dead worker (``BrokenProcessPool``) triggers a pool rebuild; only the
-  unfinished tasks are re-run. Persistent crashes escalate every
-  unfinished task to the serial path.
+* A dead worker (``BrokenProcessPool``, whether it surfaces while tasks
+  are being submitted or while results are awaited) triggers a pool
+  rebuild; only the unfinished tasks are re-run. Persistent crashes
+  escalate every unfinished task to the serial path.
 * ``retry.timeout`` bounds one pool attempt's blocking wait; a timed-out
   attempt tears the pool down (the worker may be hung) and retries, and
   exhaustion raises :class:`~repro.errors.TaskTimeout` without serial
@@ -60,7 +61,7 @@ import json
 import multiprocessing
 import pickle
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
@@ -354,10 +355,18 @@ def _run_pool(
                     FAULTS.fire("task.interrupt", task.label)
                 if failures[index]:
                     time.sleep(policy.backoff(task.label, failures[index]))
-                futures[index] = pool.submit(
-                    _invoke, task.fn, task.args, task.kwargs, task.label,
-                    task.trace,
-                )
+                try:
+                    futures[index] = pool.submit(
+                        _invoke, task.fn, task.args, task.kwargs, task.label,
+                        task.trace,
+                    )
+                except BrokenProcessPool as exc:
+                    # A worker died mid-submission. This task's failed
+                    # future sends the loop below down the crash branch
+                    # when it gets here; later tasks were never submitted.
+                    futures[index] = Future()
+                    futures[index].set_exception(exc)
+                    break
             for position, index in enumerate(remaining):
                 task = tasks[index]
                 later = remaining[position + 1:]

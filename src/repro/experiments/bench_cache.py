@@ -7,8 +7,8 @@ with the per-set LRU stack loop of ``engine="vector"`` — asserting the
 two produce identical :class:`~repro.mem.cache.CacheStats` before reporting
 per-engine throughput. This is the ``repro profile bench_cache`` target
 backing the engine numbers in docs/performance.md; the measured speedup
-also lands in ``BENCH_profile.json`` as the ``bench.cache.speedup``
-gauge.
+is the profile's ``bench.cache.speedup`` gauge (in the JSON that
+``--output PATH`` writes).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Runs every SPEC92 benchmark through a ladder of MTC sizes twice — the
 scalar two-pass loop versus the miss-jumping fast engine with one shared
 pass-1 product across the whole ladder — asserting identical traffic
 before reporting per-engine throughput. This is the ``repro profile
-bench_mtc`` target; the aggregate speedup lands in ``BENCH_profile.json``
-as the ``bench.mtc.speedup`` gauge.
+bench_mtc`` target; the aggregate speedup is the profile's
+``bench.mtc.speedup`` gauge.
 """
 
 from __future__ import annotations

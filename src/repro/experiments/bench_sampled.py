@@ -9,9 +9,9 @@ is an *estimate* property: the sampled engine trades exactness for
 speed, and this bench is the standing measurement of that trade.
 
 This is the ``repro profile bench_sampled`` target; the aggregate
-speedup lands in ``BENCH_profile.json`` as the ``bench.sampled.speedup``
-gauge and the worst error/envelope pair as
-``bench.sampled.max_error``/``bench.sampled.max_half_width``.
+speedup is the profile's ``bench.sampled.speedup`` gauge and the worst
+error/envelope pair are ``bench.sampled.max_error``/
+``bench.sampled.max_half_width``.
 
 The hard guarantee (measured error inside the reported envelope) is
 asserted by the differential suite in ``tests/test_mem_sampled.py``;

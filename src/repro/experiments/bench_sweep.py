@@ -6,8 +6,7 @@ independent simulation per size, scalar loop) and the one-pass
 direct-mapped family (a single stable partition sweep producing every
 size at once). Results are asserted identical before timing is reported.
 This is the ``repro profile bench_sweep`` target; the aggregate row
-speedup lands in ``BENCH_profile.json`` as the ``bench.sweep.speedup``
-gauge.
+speedup is the profile's ``bench.sweep.speedup`` gauge.
 """
 
 from __future__ import annotations

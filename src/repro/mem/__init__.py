@@ -16,8 +16,7 @@ transfer sizes),
 :mod:`repro.mem.writeaware` (write-aware minimal replacement),
 :mod:`repro.mem.prefetch` (tagged/stride/stream-buffer schemes),
 :mod:`repro.mem.compression` (address-bus compression), and
-:mod:`repro.mem.interference` (shared-cache and chip-multiprocessor
-bandwidth pressure).
+:mod:`repro.mem.interference` (chip-multiprocessor bandwidth pressure).
 """
 
 from repro.mem.cache import Cache, CacheConfig, CacheStats, WritePolicy, AllocatePolicy
@@ -53,10 +52,7 @@ from repro.mem.flexible import (
     flexible_gain,
     tune_regions,
 )
-from repro.mem.interference import (
-    chip_multiprocessor_demand,
-    multithreaded_traffic,
-)
+from repro.mem.interference import chip_multiprocessor_demand
 from repro.mem.policies import (
     FIFOPolicy,
     LRUPolicy,
@@ -119,7 +115,6 @@ __all__ = [
     "BaseRegisterCache",
     "BaseRegisterCacheConfig",
     "evaluate_address_compression",
-    "multithreaded_traffic",
     "chip_multiprocessor_demand",
     "TaggedPrefetcher",
     "StridePrefetcher",

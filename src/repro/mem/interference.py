@@ -1,99 +1,24 @@
-"""Shared-cache interference: multithreading and single-chip MPs.
+"""Single-chip multiprocessors against a fixed pin budget.
 
-Two of the paper's Section 2 arguments made measurable:
+The paper's §2.2 argument made measurable: "If one processor loses
+performance due to limited pin bandwidth, then multiple processors on a
+chip will lose far more performance for the same reason."
+:func:`chip_multiprocessor_demand` scales per-core demand bandwidth
+against a fixed pin budget.
 
-* §2.1, multithreading: "Frequent switching of threads will increase
-  interference in the caches and TLB ... causing an increase in cache
-  misses and total traffic."
-* §2.2, single-chip multiprocessors: "If one processor loses performance
-  due to limited pin bandwidth, then multiple processors on a chip will
-  lose far more performance for the same reason."
-
-:func:`multithreaded_traffic` interleaves several workloads' traces on a
-shared cache with a context-switch quantum and compares total traffic
-against the same workloads run alone. :func:`chip_multiprocessor_demand`
-scales per-core demand bandwidth against a fixed pin budget.
+The §2.1 multithreading argument (threads switching on one shared cache
+add misses and traffic) is measured by the scenario mixer:
+:func:`repro.scenario.mixer.interleave_weighted` interleaves the threads
+onto disjoint address windows and
+:func:`repro.scenario.mixer.attribute_traffic` compares the shared
+cache's traffic with each thread's solo run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 from repro.errors import ConfigurationError
-from repro.mem.cache import Cache, CacheConfig, CacheStats
-from repro.trace.model import MemTrace
-from repro.trace.synth import from_arrays, round_robin
-
-
-@dataclass(frozen=True, slots=True)
-class InterferenceReport:
-    """Solo-vs-shared traffic comparison for one thread mix."""
-
-    thread_names: tuple[str, ...]
-    quantum: int
-    solo_traffic_bytes: int          #: sum of each thread run alone
-    shared_traffic_bytes: int        #: all threads interleaved, one cache
-    solo_misses: int
-    shared_misses: int
-
-    @property
-    def traffic_expansion(self) -> float:
-        """Shared over solo: >1 means interference added traffic."""
-        if not self.solo_traffic_bytes:
-            return 1.0
-        return self.shared_traffic_bytes / self.solo_traffic_bytes
-
-    @property
-    def miss_expansion(self) -> float:
-        if not self.solo_misses:
-            return 1.0
-        return self.shared_misses / self.solo_misses
-
-
-def _interleave(traces: Sequence[MemTrace], quantum: int) -> MemTrace:
-    """Round-robin the traces in quantum-sized slices, with disjoint
-    address spaces (threads do not share data)."""
-    offset_step = 1 << 30
-    addresses, writes, owner = round_robin(
-        [from_arrays(trace.addresses, trace.is_write) for trace in traces],
-        [quantum] * len(traces),
-    )
-    return MemTrace(addresses + owner * offset_step, writes, name="shared")
-
-
-def multithreaded_traffic(
-    traces: Sequence[MemTrace],
-    *,
-    cache_config: CacheConfig | None = None,
-    quantum: int = 200,
-) -> InterferenceReport:
-    """Measure the traffic cost of sharing one cache between threads."""
-    if len(traces) < 2:
-        raise ConfigurationError("need at least two threads to interfere")
-    if quantum <= 0:
-        raise ConfigurationError("quantum must be positive")
-    if cache_config is None:
-        cache_config = CacheConfig(size_bytes=16 * 1024, block_bytes=32)
-
-    solo_traffic = 0
-    solo_misses = 0
-    for trace in traces:
-        stats = Cache(cache_config).simulate(trace)
-        solo_traffic += stats.total_traffic_bytes
-        solo_misses += stats.misses
-
-    shared: CacheStats = Cache(cache_config).simulate(
-        _interleave(traces, quantum)
-    )
-    return InterferenceReport(
-        thread_names=tuple(t.name for t in traces),
-        quantum=quantum,
-        solo_traffic_bytes=solo_traffic,
-        shared_traffic_bytes=shared.total_traffic_bytes,
-        solo_misses=solo_misses,
-        shared_misses=shared.misses,
-    )
 
 
 @dataclass(frozen=True, slots=True)

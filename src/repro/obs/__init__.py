@@ -12,7 +12,7 @@ The layer has five pieces:
   trace/span ids propagated serve → scheduler → pool worker → engine,
   logged as JSONL with parent links for ``repro spans`` analysis;
 * :mod:`repro.obs.profiler` — the experiment profiling harness behind
-  ``python -m repro profile`` and ``BENCH_profile.json``.
+  ``python -m repro profile`` and its ``--output`` JSON.
 
 Hot simulator code talks to one process-wide facade, :data:`OBS`::
 

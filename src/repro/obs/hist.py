@@ -14,8 +14,8 @@ Two related pieces live here:
 * :func:`percentile_interpolated` — the *exact* linearly-interpolated
   percentile of a raw sample list, for callers that hold every sample
   themselves (``scripts/load_serve.py``). With small sample counts
-  nearest-rank p99 degenerates to the max, which made
-  ``BENCH_serve.json`` report ``p99 == max`` for a 40-sample run.
+  nearest-rank p99 degenerates to the max, which made the load
+  generator report ``p99 == max`` for a 40-sample run.
 
 Buckets are latency-shaped by default: a 1-2-5 decade series from 10 µs
 to 100 s (:data:`DEFAULT_LATENCY_BUCKETS`), with an implicit +inf

@@ -3,10 +3,8 @@
 Wraps one experiment module (``repro.experiments.<name>``) in the
 instrumentation layer, times its import/run/render stages, and produces a
 :class:`RunProfile` — printed as a human table by :func:`render_profile`
-and written as machine-readable JSON (``BENCH_profile.json``) by
-:func:`write_profile`. The JSON trail is the repo's performance
-trajectory: each committed baseline lets a later PR prove a hot path got
-faster (or catch that it got slower).
+and, when ``repro profile --output PATH`` names a file, written as
+machine-readable JSON by :func:`write_profile`.
 
 Schema ``repro.profile/v3``::
 
@@ -50,6 +48,7 @@ import json
 import platform
 import time
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from repro.errors import ConfigurationError
 from repro.obs import OBS, EventSink, instrumented
@@ -276,8 +275,8 @@ def render_profile(profile: RunProfile) -> str:
     return "\n".join(lines)
 
 
-def write_profile(profile: RunProfile, path: str) -> None:
-    """Write the machine-readable profile JSON (sorted keys, indented)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(profile.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def write_profile(profile: RunProfile, handle: TextIO) -> None:
+    """Write the machine-readable profile JSON (sorted keys, indented)
+    to an open text file."""
+    json.dump(profile.to_dict(), handle, indent=2, sort_keys=True)
+    handle.write("\n")

@@ -38,7 +38,7 @@ __all__ = [
     "attribute_traffic",
 ]
 
-#: Per-tenant address window (matches repro.mem.interference).
+#: Per-tenant address window: 1 GB, the largest tenant footprint.
 OFFSET_STEP = MAX_FOOTPRINT_BYTES
 
 
@@ -75,7 +75,8 @@ def interleave_weighted(
     Returns ``(addresses, is_write, tenant_ids)``. Deterministic: rounds
     visit tenants in list order, tenant *i* advancing ``quantum x
     weight_i`` references per round until exhausted — shorter streams
-    simply drop out of later rounds, as in the interference model.
+    simply drop out of later rounds. Unit weights give the plain
+    quantum round-robin of threads switching on one shared cache.
     *limit* builds only the first *limit* references, from the prefix of
     each tenant's stream that they consume.
     """

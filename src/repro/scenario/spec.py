@@ -67,8 +67,8 @@ SCENARIO_DEFAULTS = {
     "seed": 0,
 }
 
-#: Tenants get disjoint 1 GB address windows when mixed (matching
-#: :mod:`repro.mem.interference`), so a footprint must fit one window.
+#: Tenants get disjoint 1 GB address windows when mixed, so a footprint
+#: must fit one window.
 MAX_FOOTPRINT_BYTES = 1 << 30
 
 MAX_TENANTS = 32

@@ -145,6 +145,28 @@ class TestObservabilityFlags:
         assert "cannot open --trace-events path" in err
         assert "Traceback" not in err
 
+    def test_unwritable_profile_output_is_a_clean_error(
+        self, capsys, monkeypatch
+    ):
+        # The path is opened before the run: the experiment never starts.
+        import repro.obs.profiler as profiler
+
+        def never(*args, **kwargs):
+            raise AssertionError("profile ran despite a bad --output")
+
+        monkeypatch.setattr(profiler, "profile_experiment", never)
+        out = io.StringIO()
+        code = main(
+            ["profile", "table2", "--max-refs", "1000",
+             "--output", "/nonexistent-dir/profile.json"],
+            out=out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: cannot open --output path" in err
+        assert "Traceback" not in err
+        assert out.getvalue() == ""
+
     def test_verbose_logs_structured_events_to_stderr(self, capsys):
         run_cli(
             "simulate", "Espresso", "--size", "4KB", "--max-refs", "20000",
@@ -267,7 +289,7 @@ class TestSpanTracingFlags:
 
 class TestProfileCommand:
     def test_profile_prints_and_writes_json(self, tmp_path):
-        path = tmp_path / "BENCH_profile.json"
+        path = tmp_path / "profile.json"
         text = run_cli(
             "profile", "table2", "--max-refs", "5000", "--output", str(path)
         )
@@ -284,6 +306,13 @@ class TestProfileCommand:
         assert run["count"] == 1
         assert run["min_s"] <= run["p99_s"] <= run["max_s"]
         assert "histograms" not in data
+
+    def test_profile_writes_no_file_unless_asked(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text = run_cli("profile", "table2", "--max-refs", "5000")
+        assert "profile: table2" in text
+        assert "wrote" not in text
+        assert list(tmp_path.iterdir()) == []
 
     def test_profile_with_trace_events(self, tmp_path):
         profile_path = tmp_path / "profile.json"

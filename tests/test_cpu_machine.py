@@ -71,6 +71,24 @@ class TestPaperBehaviours:
         e = decompose_experiment(workload, experiment("E"), max_refs=8000)
         assert e.decomposition.f_l <= d.decomposition.f_l + 0.02
 
+    def test_lockup_free_caches_are_no_slower(self):
+        """Blocking (A, one MSHR) vs lockup-free (C, eight MSHRs) caches
+        on Su2cor: the extra MSHRs never cost more than 5%."""
+        workload = get_workload("Su2cor")
+        a = decompose_experiment(workload, experiment("A"), max_refs=10_000)
+        c = decompose_experiment(workload, experiment("C"), max_refs=10_000)
+        assert (
+            c.decomposition.cycles_full
+            <= a.decomposition.cycles_full * 1.05
+        )
+
+    def test_out_of_order_issue_raises_ipc(self):
+        """In-order (C) vs out-of-order (D) issue on Tomcatv."""
+        workload = get_workload("Tomcatv")
+        c = decompose_experiment(workload, experiment("C"), max_refs=10_000)
+        d = decompose_experiment(workload, experiment("D"), max_refs=10_000)
+        assert d.full.ipc > c.full.ipc
+
     def test_prefetch_increases_memory_traffic(self):
         workload = get_workload("Swm")
         d = decompose_experiment(workload, experiment("D"), max_refs=8000)

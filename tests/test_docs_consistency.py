@@ -97,19 +97,4 @@ class TestReadme:
 
     def test_quickstart_install_commands_present(self, readme_text):
         assert "pytest tests/" in readme_text
-        assert "--benchmark-only" in readme_text
-
-
-class TestOutputsArtifacts:
-    def test_bench_output_exists_and_passed(self):
-        """The benchmark log is stable while the *test* suite runs (the
-        test log, by contrast, is being written right now under tee, so
-        only its existence can be asserted here)."""
-        bench_output = ROOT / "bench_output.txt"
-        if not bench_output.exists():
-            pytest.skip("benchmarks not yet run in this checkout")
-        assert " passed" in bench_output.read_text()
-
-    def test_test_output_file_is_tracked(self):
-        # Either already produced by a prior run, or being produced now.
-        assert (ROOT / "test_output.txt").exists() or True
+        assert "regenerate_experiments.py" in readme_text

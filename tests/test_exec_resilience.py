@@ -180,6 +180,35 @@ class TestPoolRecovery:
         assert got == expected
         assert counters["exec.worker.crash"] >= 1
 
+    def test_pool_broken_during_submission_recovers(self, monkeypatch):
+        """A worker that dies while tasks are still being submitted makes
+        ``submit`` raise: the crash branch must take it from there."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.exec import pool
+
+        class BreaksOnSecondSubmit(pool.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.submits = 0
+
+            def submit(self, *args, **kwargs):
+                self.submits += 1
+                if self.submits == 2:
+                    raise BrokenProcessPool("a worker died mid-submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        with instrumented():
+            got = run_tasks(
+                make_tasks(4), jobs=2, retry=RetryPolicy(base_delay=0.0)
+            )
+            counters = OBS.registry.snapshot()["counters"]
+        assert got == [0, 1, 4, 9]
+        # Each of three pools breaks at its second submission; the third
+        # crash escalates the last task to the serial path.
+        assert counters["exec.worker.crash"] == 3
+
     def test_persistent_kills_escalate_to_serial(self, tmp_path):
         """With more kill budget than pool attempts, every pool round
         dies — the run must still finish via the parent-side serial

@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, ScenarioError, SimulationError
 from repro.mem.bypass import BypassCache, BypassCacheConfig, bypass_benefit
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.compression import (
     BaseRegisterCacheConfig,
     evaluate_address_compression,
 )
-from repro.mem.interference import (
-    chip_multiprocessor_demand,
-    multithreaded_traffic,
-)
+from repro.mem.interference import chip_multiprocessor_demand
 from repro.mem.mtc import MinimalTrafficCache, MTCConfig
 from repro.mem.prefetch import (
     StreamBufferPrefetcher,
@@ -23,9 +20,15 @@ from repro.mem.prefetch import (
 )
 from repro.mem.sector import SectorCache, SectorCacheConfig, hill_smith_tradeoff
 from repro.mem.writeaware import WriteAwareConfig, WriteAwareMTC, write_aware_gap
+from repro.scenario.mixer import MixedTrace, attribute_traffic, interleave_weighted
 from repro.trace.model import MemTrace
+from repro.trace.synth import from_arrays
+from repro.workloads import get_workload
 
 from conftest import make_trace
+
+#: References per workload trace in the SPEC-workload checks below.
+WORKLOAD_REFS = 100_000
 
 
 class TestSectorCache:
@@ -74,6 +77,10 @@ class TestSectorCache:
         traffic = [p.traffic_ratio for p in points]
         assert all(a >= b for a, b in zip(misses, misses[1:]))
         assert all(a <= b * 1.001 for a, b in zip(traffic, traffic[1:]))
+        # A real trade-off, not a flat line: the smallest subblock misses
+        # more, and moves less, than the whole sector.
+        assert misses[0] > misses[-1]
+        assert traffic[0] < traffic[-1]
 
 
 class TestBypassCache:
@@ -113,6 +120,14 @@ class TestBypassCache:
         base, improved, saving = bypass_benefit(trace, 2048)
         assert improved <= base
         assert saving >= 0.0
+
+    @pytest.mark.parametrize("name", ["Compress", "Eqntott"])
+    def test_irregular_codes_gain_from_bypassing(self, name):
+        """Tyson-style bypassing pays on the irregular codes' 4 KB
+        cache: more than 2% of the traffic goes."""
+        trace = get_workload(name).generate(seed=0, max_refs=WORKLOAD_REFS)
+        _, _, saving = bypass_benefit(trace, 4096)
+        assert saving > 0.02
 
     def test_invalid_threshold(self):
         with pytest.raises(ConfigurationError):
@@ -157,8 +172,6 @@ class TestWriteAwareMTC:
     def test_papers_small_disparity_claim(self, name):
         """The paper skipped the Horwitz algorithm believing 'the disparity
         between the two is small'. Verify: under 5% on every benchmark."""
-        from repro.workloads import get_workload
-
         trace = get_workload(name).generate(seed=0, max_refs=60_000)
         _, _, gap = write_aware_gap(trace, 16 * 1024)
         assert abs(gap) < 0.05
@@ -213,6 +226,18 @@ class TestPrefetchers:
         )
         assert report.traffic_overhead > 0.0
 
+    def test_every_scheme_costs_bandwidth_on_swm(self):
+        """Prefetching trades bytes for latency: no scheme moves fewer
+        bytes than the plain cache."""
+        trace = get_workload("Swm").generate(seed=0, max_refs=WORKLOAD_REFS)
+        for prefetcher in (
+            TaggedPrefetcher(),
+            StridePrefetcher(),
+            StreamBufferPrefetcher(),
+        ):
+            report = evaluate_prefetcher(trace, prefetcher)
+            assert report.traffic_overhead >= 0.0, report.scheme
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             StridePrefetcher(degree=0)
@@ -235,6 +260,11 @@ class TestAddressCompression:
         )
         assert report.compression_ratio < 1.1
 
+    @pytest.mark.parametrize("name", ["Swm", "Compress", "Li"])
+    def test_spec_traces_compress(self, name):
+        trace = get_workload(name).generate(seed=0, max_refs=WORKLOAD_REFS)
+        assert evaluate_address_compression(trace).compression_ratio > 1.0
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             BaseRegisterCacheConfig(offset_bits=32, address_bits=32)
@@ -246,33 +276,53 @@ class TestAddressCompression:
 
 
 class TestInterference:
+    """Threads switching on one shared cache: the scenario mixer's
+    unit-weight interleave, attributed against each thread's solo run."""
+
+    CONFIG = CacheConfig(size_bytes=16 * 1024, block_bytes=32)
+
+    def _share(self, traces, quantum=200):
+        addresses, writes, tenant_ids = interleave_weighted(
+            [from_arrays(t.addresses, t.is_write) for t in traces],
+            quantum=quantum,
+            weights=[1] * len(traces),
+        )
+        mixed = MixedTrace(
+            MemTrace(addresses, writes, name="shared"),
+            tenant_ids,
+            tuple(t.name for t in traces),
+        )
+        return attribute_traffic(mixed, self.CONFIG)
+
     def _traces(self):
         a = make_trace(list(range(0, 16_000, 4)) * 2, name="a")
         b = make_trace(list(range(0, 16_000, 4)) * 2, name="b")
         return [a, b]
 
     def test_sharing_never_reduces_misses(self):
-        report = multithreaded_traffic(self._traces())
-        assert report.shared_misses >= report.solo_misses * 0.99
+        traces = self._traces()
+        report = self._share(traces)
+        solo = sum(Cache(self.CONFIG).simulate(t).misses for t in traces)
+        assert report.total_misses >= solo * 0.99
 
     def test_interference_grows_traffic_for_cache_fitting_threads(self):
         """Two threads that each fit the cache alone, but not together."""
         a = make_trace(list(range(0, 12_000, 4)) * 4, name="a")
         b = make_trace(list(range(0, 12_000, 4)) * 4, name="b")
-        report = multithreaded_traffic(
-            [a, b],
-            cache_config=CacheConfig(size_bytes=16 * 1024, block_bytes=32),
-            quantum=100,
-        )
+        report = self._share([a, b], quantum=100)
         assert report.traffic_expansion > 1.3
 
-    def test_needs_two_threads(self):
-        with pytest.raises(ConfigurationError):
-            multithreaded_traffic([make_trace([0])])
+    def test_sharing_never_lowers_spec_traffic(self):
+        traces = [
+            get_workload(name).generate(seed=0, max_refs=60_000)
+            for name in ("Compress", "Swm", "Espresso")
+        ]
+        assert self._share(traces).traffic_expansion >= 1.0
 
     def test_quantum_validated(self):
-        with pytest.raises(ConfigurationError):
-            multithreaded_traffic(self._traces(), quantum=0)
+        streams = [from_arrays(t.addresses, t.is_write) for t in self._traces()]
+        with pytest.raises(ScenarioError, match="quantum"):
+            interleave_weighted(streams, quantum=0, weights=[1, 1])
 
     def test_cmp_demand_scales_superlinearly(self):
         points = chip_multiprocessor_demand(1_000_000, 100_000, 300, 1e9)

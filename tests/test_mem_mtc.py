@@ -39,6 +39,18 @@ class TestBasicTraffic:
             mtc.simulate(make_trace([0]))
             mtc.simulate(make_trace([0]))
 
+    def test_accounting_identity(self, rng):
+        refs = 100_000
+        trace = MemTrace(
+            rng.integers(0, 1 << 16, size=refs) * 4, rng.random(refs) < 0.3
+        )
+        stats = MinimalTrafficCache(MTCConfig(size_bytes=16 * 1024)).simulate(
+            trace
+        )
+        assert stats.accesses == refs
+        assert stats.reads == trace.read_count
+        assert stats.writes == trace.write_count
+
     def test_read_costs_one_word(self):
         stats = MinimalTrafficCache(MTCConfig(size_bytes=64)).simulate(
             make_trace([0])

@@ -1,4 +1,4 @@
-"""Tests for the experiment profiling harness and BENCH_profile.json."""
+"""Tests for the experiment profiling harness and its JSON profile."""
 
 import json
 
@@ -95,8 +95,9 @@ class TestRenderAndWrite:
         assert "mtc.accesses" in text
 
     def test_write_profile_round_trips(self, tmp_path):
-        path = tmp_path / "BENCH_profile.json"
-        write_profile(_sample_profile(), str(path))
+        path = tmp_path / "profile.json"
+        with open(path, "w", encoding="utf-8") as handle:
+            write_profile(_sample_profile(), handle)
         data = json.loads(path.read_text())
         assert data["schema"] == PROFILE_SCHEMA
         assert data["counters"]["mtc.accesses"] == 9000

@@ -323,6 +323,17 @@ class TestScenariosExperiment:
         tenant_counts = sorted(len(w.spec.tenants) for w in workloads)
         assert tenant_counts == [1, 1, 1, 4, 4, 4]
 
+    def test_skewed_traffic_filters_worse_and_keeps_the_wall(self):
+        """At the EXPERIMENTS.md budget: skewed, bursty and multi-tenant
+        traffic filters worse than SPEC (the >=64KB mean sits above 1.0,
+        against the paper's 0.51), and every scenario keeps a substantial
+        bandwidth-stall fraction under experiment F."""
+        from repro.experiments import scenarios
+
+        result = scenarios.run(max_refs=300_000)
+        assert result.mean_ratio_64kb_up > 1.0
+        assert all(0.2 < row.f_b < 1.0 for row in result.decompositions)
+
     def test_small_run_reports_all_measurements(self):
         from repro.experiments import scenarios
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
-from repro.mem.interference import _interleave
 from repro.scenario.mixer import OFFSET_STEP, interleave_weighted
 from repro.trace import synth
 from repro.trace.model import MemTrace
@@ -345,13 +344,18 @@ class TestRoundRobinKernel:
     def test_interference_interleave_matches_reference_loop(
         self, streams, quantum
     ):
+        """Unit weights are the plain quantum round-robin of threads
+        sharing one cache, each in its own 1 GB window."""
         addresses, writes, owner = reference_round_robin(
             streams, [quantum] * len(streams)
         )
-        shared = _interleave([MemTrace(*pair) for pair in streams], quantum)
         assert_same_arrays(
-            (shared.addresses, shared.is_write),
-            (addresses + owner * (1 << 30), writes),
+            interleave_weighted(
+                as_streams(streams),
+                quantum=quantum,
+                weights=[1] * len(streams),
+            ),
+            (addresses + owner * (1 << 30), writes, owner.astype(np.int16)),
         )
 
     def test_limit_stops_inside_a_chunk(self):
