@@ -114,7 +114,8 @@ def run_load(
         # instead of a summary full of zeros.
         raise failures[0]
 
-    metrics = client_factory().metrics()
+    with client_factory() as probe:
+        metrics = probe.metrics()
     submitted = metrics.get("serve.submitted", 0.0)
     coalesced = metrics.get("serve.coalesced", 0.0)
     answered = metrics.get("serve.cache.answered", 0.0)

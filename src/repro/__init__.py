@@ -17,7 +17,7 @@ The library provides four layers:
 :mod:`repro.experiments` regenerates every table and figure of the paper's
 evaluation; see DESIGN.md for the per-experiment index.
 :mod:`repro.obs` is the cross-cutting instrumentation layer — metrics
-registry, structured event tracing, and the experiment profiler behind
+registry, span tracing, and the experiment profiler behind
 ``python -m repro profile`` (see docs/observability.md).
 
 Quickstart::

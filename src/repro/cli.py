@@ -26,14 +26,11 @@ Commands
     Run one experiment under the instrumentation layer and print a
     stage/throughput profile; ``--output PATH`` also writes it as
     machine-readable JSON.
-``cache stats|clear|mrc``
+``cache stats|clear``
     Inspect or empty the on-disk result cache (see docs/performance.md).
     ``stats --json`` emits the machine-readable form (entry/byte/
     quarantine counts) that ops tooling and the server's ``/healthz``
-    consume. ``mrc`` replays the serving hot tier's access log through
-    the repo's own Mattson machinery (:mod:`repro.trace.mrc`) and prints
-    the hit-ratio-vs-size curve of the tier — what each byte budget
-    would have bought on the measured reuse pattern.
+    consume.
 ``serve``
     Run the simulation service: an asyncio HTTP/JSON server exposing
     ``POST /v1/simulate``, ``POST /v1/sweep``, ``GET /v1/jobs/<id>``,
@@ -57,9 +54,7 @@ Commands
     that determined end-to-end latency, ``--folded`` for flamegraph/
     speedscope input, ``--job ID``/``--trace ID`` to select one trace.
 
-Every simulation command also accepts the observability flags
-``--verbose`` (structured event logging on stderr),
-``--trace-events PATH`` (JSONL event export), and ``--trace-spans PATH``
+Every simulation command also accepts ``--trace-spans PATH``
 (request-scoped timing spans, analysed with ``repro spans``); see
 docs/observability.md.
 ``experiment``, ``simulate``, and ``profile`` additionally take
@@ -227,19 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Observability flags shared by every simulation-running command.
+    # Span tracing, shared by every simulation-running command.
     obs_flags = argparse.ArgumentParser(add_help=False)
-    obs_flags.add_argument(
-        "--verbose",
-        action="store_true",
-        help="structured event logging on stderr",
-    )
-    obs_flags.add_argument(
-        "--trace-events",
-        metavar="PATH",
-        default=None,
-        help="write simulation events as JSONL to PATH",
-    )
     obs_flags.add_argument(
         "--trace-spans",
         metavar="PATH",
@@ -461,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser(
         "cache", help="inspect or clear the on-disk result cache"
     )
-    cache.add_argument("action", choices=["stats", "clear", "mrc"])
+    cache.add_argument("action", choices=["stats", "clear"])
     cache.add_argument(
         "--cache-dir",
         metavar="PATH",
@@ -472,13 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="machine-readable stats (entries/bytes/quarantined), one JSON object",
-    )
-    cache.add_argument(
-        "--points",
-        type=positive_int,
-        default=12,
-        metavar="N",
-        help="mrc: max capacity points on the hit-ratio curve (default: 12)",
     )
 
     serve = sub.add_parser(
@@ -559,12 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="result cache root (default: .repro-cache or $REPRO_CACHE_DIR)",
-    )
-    serve.add_argument(
-        "--verbose",
-        action="store_true",
-        help="structured event logging on stderr (the server owns the obs "
-        "facade; --trace-events is not supported here)",
     )
     serve.add_argument(
         "--trace-spans",
@@ -1105,113 +1076,9 @@ def _cmd_cache(args, out) -> None:
             print(file=out)
         else:
             print(cache.stats().describe(), file=out)
-    elif args.action == "mrc":
-        _cmd_cache_mrc(args, cache, out)
     else:
         removed = cache.clear()
         print(f"removed {removed} cached results from {cache.root}", file=out)
-
-
-def _cmd_cache_mrc(args, cache, out) -> None:
-    """Hit-ratio-vs-size curve of the serving hot tier, from its own log.
-
-    Every hot-tier lookup appends the entry digest to
-    ``hot-tier.accesses`` under the cache root. Replaying that stream
-    through the repo's own Mattson machinery
-    (:func:`repro.trace.mrc.miss_ratio_curve`) answers the capacity
-    question the paper asks of hardware caches, for our serving cache:
-    what hit ratio would each byte budget have bought on the measured
-    reuse pattern?
-    """
-    from repro.exec.tiered import ACCESS_LOG_NAME, read_access_log
-    from repro.trace.model import WORD_BYTES, MemTrace
-    from repro.trace.mrc import miss_ratio_curve
-
-    digests = read_access_log(cache.root)
-    if not digests:
-        # A missing or empty log is the normal state of a cache root
-        # that has never served traffic — explain how to grow one
-        # instead of erroring (or printing an empty table).
-        if getattr(args, "json", False):
-            json.dump(
-                {
-                    "schema": "repro.cache-mrc/v1",
-                    "root": str(cache.root),
-                    "accesses": 0,
-                    "distinct_entries": 0,
-                    "curve": [],
-                },
-                out,
-                sort_keys=True,
-            )
-            print(file=out)
-            return
-        print(
-            f"no hot-tier accesses recorded yet at "
-            f"{cache.root}/{ACCESS_LOG_NAME} — that log grows as `repro "
-            f"serve` answers requests from its in-memory hot tier; serve "
-            f"some traffic against this cache root, then re-run "
-            f"`repro cache mrc`",
-            file=out,
-        )
-        return
-    # One "block" per distinct cache entry: digests become consecutive
-    # word addresses in first-seen order, so a capacity of C blocks on
-    # the MRC is a hot tier holding C entries.
-    ids: dict[str, int] = {}
-    addresses = []
-    for digest in digests:
-        if digest not in ids:
-            ids[digest] = len(ids)
-        addresses.append(ids[digest] * WORD_BYTES)
-    trace = MemTrace(addresses, [False] * len(addresses), name="hot-tier")
-    curve = miss_ratio_curve(trace, block_bytes=WORD_BYTES)
-    distinct = len(ids)
-    # Mean serialized entry size turns entry capacities into byte budgets.
-    stats = cache.stats()
-    mean_bytes = stats.total_bytes / stats.entries if stats.entries else 0
-    capacities: list[int] = []
-    step = 1
-    while step < distinct and len(capacities) < max(1, args.points - 1):
-        capacities.append(step)
-        step *= 2
-    capacities.append(distinct)
-    points = [
-        {
-            "entries": capacity,
-            "approx_bytes": int(capacity * mean_bytes),
-            "hit_ratio": round(1.0 - curve.miss_ratio_at(capacity), 6),
-        }
-        for capacity in capacities
-    ]
-    result = {
-        "schema": "repro.cache-mrc/v1",
-        "root": str(cache.root),
-        "accesses": len(digests),
-        "distinct_entries": distinct,
-        "compulsory_miss_ratio": round(curve.compulsory_miss_ratio, 6),
-        "curve": points,
-    }
-    if getattr(args, "json", False):
-        json.dump(result, out, sort_keys=True)
-        print(file=out)
-        return
-    print(
-        f"hot-tier reuse: {len(digests)} accesses over {distinct} distinct "
-        f"entries ({cache.root})",
-        file=out,
-    )
-    print(
-        f"compulsory miss floor: {curve.compulsory_miss_ratio:.4f}",
-        file=out,
-    )
-    print(f"{'entries':>8}  {'~bytes':>12}  hit ratio", file=out)
-    for point in points:
-        print(
-            f"{point['entries']:>8}  {point['approx_bytes']:>12,}  "
-            f"{point['hit_ratio']:.4f}",
-            file=out,
-        )
 
 
 def _cmd_serve(args) -> int:
@@ -1230,7 +1097,6 @@ def _cmd_serve(args) -> int:
         jobs=args.jobs,
         cache_dir=cache_dir,
         retry=_retry_policy(args),
-        verbose=args.verbose,
         trace_spans=args.trace_spans,
         hot_bytes=args.hot_tier_bytes,
         workers=args.workers,
@@ -1335,50 +1201,13 @@ def _cmd_stats(args, out) -> None:
     print(f"median reuse dist.:  {stats.median_reuse_distance:g} words", file=out)
 
 
-def _observability(args):
-    """Context manager enabling the instrumentation layer for one command.
-
-    With neither ``--verbose`` nor ``--trace-events`` the facade is never
-    touched — command output stays byte-identical to an uninstrumented
-    build. Otherwise the command runs under
-    :func:`repro.obs.instrumented`, which closes the event sinks on every
-    exit path, errors included.
-
-    ``serve`` is excluded: the server owns the process-wide facade for
-    its whole lifetime (its /metrics endpoint *is* the registry), so it
-    enters :func:`~repro.obs.instrumented` itself.
-    """
-    if getattr(args, "command", None) == "serve":
-        return contextlib.nullcontext()
-    verbose = getattr(args, "verbose", False)
-    trace_path = getattr(args, "trace_events", None)
-    if not verbose and not trace_path:
-        return contextlib.nullcontext()
-    from repro import obs
-
-    sinks: list[obs.EventSink] = []
-    if trace_path:
-        try:
-            sinks.append(obs.JsonlSink(trace_path))
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot open --trace-events path {trace_path!r}: {exc}"
-            ) from exc
-    if verbose:
-        sinks.append(obs.StderrSink())
-    return obs.instrumented(
-        sink=sinks[0] if len(sinks) == 1 else obs.MultiSink(sinks)
-    )
-
-
 def _configure_tracing(args) -> bool:
     """Enable span tracing when ``--trace-spans`` was given.
 
     Returns True when the tracer was armed (the caller must deactivate
     it again so the process-wide ``TRACER`` returns to its zero-overhead
-    default). ``serve`` is excluded for the same reason as observability:
-    the server configures the tracer for its own lifetime via
-    :class:`~repro.serve.server.ServeConfig`.
+    default). ``serve`` is excluded: the server configures the tracer
+    for its own lifetime via :class:`~repro.serve.server.ServeConfig`.
     """
     if getattr(args, "command", None) == "serve":
         return False
@@ -1471,21 +1300,17 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     tracing = False
     injecting = False
     try:
-        with _observability(args):
-            tracing = _configure_tracing(args)
-            injecting = _configure_fault_injection(args)
-            with _engine_context(args), _sampling_context(args):
-                if tracing:
-                    # One root span per invocation so local traces form
-                    # a single tree, mirroring serve.request on the
-                    # server.
-                    from repro.obs import TRACER
+        tracing = _configure_tracing(args)
+        injecting = _configure_fault_injection(args)
+        with _engine_context(args), _sampling_context(args):
+            if tracing:
+                # One root span per invocation so local traces form a
+                # single tree, mirroring serve.request on the server.
+                from repro.obs import TRACER
 
-                    with TRACER.span(
-                        f"cli.{args.command}", command=args.command
-                    ):
-                        return _dispatch(args, out)
-                return _dispatch(args, out)
+                with TRACER.span(f"cli.{args.command}", command=args.command):
+                    return _dispatch(args, out)
+            return _dispatch(args, out)
     except RunInterrupted as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
         return 130

@@ -65,11 +65,6 @@ def rows(section: Section | None = None) -> tuple[Table1Row, ...]:
     return tuple(row for row in TABLE1 if row.section is section)
 
 
-def bandwidth_pressure_rows() -> tuple[Table1Row, ...]:
-    """Rows predicting growth in bandwidth stalls (sections A and B)."""
-    return tuple(row for row in TABLE1 if row.f_b is Trend.UP)
-
-
 def render() -> str:
     """Print Table 1 in the paper's layout."""
     lines = []

@@ -147,12 +147,4 @@ class InOrderCore:
             OBS.count("core.branches", branches)
             OBS.count("core.mispredictions", mispredictions)
             OBS.count("core.operand_stall_cycles", operand_stall_cycles)
-            OBS.emit(
-                "core.run",
-                core="inorder",
-                cycles=result.cycles,
-                instructions=result.instructions,
-                mispredictions=mispredictions,
-                operand_stall_cycles=operand_stall_cycles,
-            )
         return result

@@ -97,10 +97,6 @@ class InstructionTrace:
         return (self.opclass == OpClass.LOAD) | (self.opclass == OpClass.STORE)
 
     @property
-    def is_load(self) -> np.ndarray:
-        return self.opclass == OpClass.LOAD
-
-    @property
     def is_store(self) -> np.ndarray:
         return self.opclass == OpClass.STORE
 

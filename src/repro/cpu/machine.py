@@ -68,14 +68,6 @@ class Machine:
         start = time.perf_counter()
         result = core.run(trace)
         OBS.observe(f"machine.mode.{mode.value}", time.perf_counter() - start)
-        OBS.emit(
-            "machine.result",
-            mode=mode.value,
-            config=self.config.name,
-            trace=trace.name,
-            cycles=result.cycles,
-            instructions=result.instructions,
-        )
         return result, memory.stats
 
     def run(self, trace: InstructionTrace) -> MachineResult:

@@ -246,14 +246,6 @@ class ChipMultiprocessor:
         if OBS.enabled:
             OBS.count("cmp.runs")
             OBS.count("cmp.core_instructions", n * core_count)
-            for outcome in outcomes:
-                OBS.emit(
-                    "cmp.core",
-                    cores=core_count,
-                    core=outcome.core,
-                    cycles=outcome.cycles,
-                    instructions=outcome.instructions,
-                )
         return outcomes
 
 

@@ -209,12 +209,4 @@ class OutOfOrderCore:
             OBS.count("core.branches", branches)
             OBS.count("core.mispredictions", mispredictions)
             OBS.count("core.issue_slot_wait_cycles", slot_wait_cycles)
-            OBS.emit(
-                "core.run",
-                core="ooo",
-                cycles=result.cycles,
-                instructions=n,
-                mispredictions=mispredictions,
-                issue_slot_wait_cycles=slot_wait_cycles,
-            )
         return result

@@ -71,15 +71,6 @@ class TaskTimeout(TaskError):
     """
 
 
-class WorkerCrash(TaskError):
-    """A pool worker died (OOM kill, segfault, injected ``worker.kill``).
-
-    The runner rebuilds the pool and re-runs only the lost tasks; this
-    error surfaces only when crashes persist past the retry budget *and*
-    the serial escalation also fails.
-    """
-
-
 class CacheCorruption(ReproError):
     """An on-disk result-cache entry failed validation.
 

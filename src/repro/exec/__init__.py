@@ -16,9 +16,7 @@ alive through the failures that parallel full-trace sweeps attract:
   doubles as the crash journal, and quarantines corrupt entries;
 * :mod:`repro.exec.tiered` — an in-memory hot tier
   (:class:`HotTier`, size-aware LRU over serialized entry bytes) layered
-  in front of the disk cache behind one :class:`TieredCache` facade; its
-  access log feeds ``repro cache mrc`` (the repo's own MRC machinery
-  analysing its own serving cache);
+  in front of the disk cache behind one :class:`TieredCache` facade;
 * :mod:`repro.exec.resilience` — the :class:`RetryPolicy` and the
   checkpoint/resume marker;
 * :mod:`repro.exec.faults` — the fault-injection harness
@@ -78,7 +76,6 @@ from repro.exec.tiered import (
     DEFAULT_HOT_BYTES,
     HotTier,
     TieredCache,
-    read_access_log,
 )
 from repro.exec.resilience import (
     DEFAULT_RETRY,
@@ -118,7 +115,6 @@ __all__ = [
     "DEFAULT_HOT_BYTES",
     "HotTier",
     "TieredCache",
-    "read_access_log",
     "DEFAULT_RETRY",
     "RetryPolicy",
     "clear_checkpoint",

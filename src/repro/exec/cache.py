@@ -156,7 +156,6 @@ class ResultCache:
         self.corrupt += 1
         if OBS.enabled:
             OBS.count("exec.cache.corrupt")
-            OBS.emit("exec.cache.corrupt", entry=path.name)
 
     def get(self, material: object) -> object:
         """The cached value for *material*, or the module sentinel MISS."""

@@ -50,9 +50,9 @@ Observability (all via :data:`repro.obs.OBS`, no-ops when disabled):
 ``exec.tasks``, ``exec.retry``, ``exec.worker.crash``, ``exec.timeout``,
 ``exec.resume.reused``, and ``exec.pool.fallback`` counters, an
 ``exec.jobs`` gauge, and a per-task ``exec.worker.time`` timer. Workers
-run with a private metrics registry and a null sink; their *counter*
-deltas are merged into the parent as results are recorded, while
-worker-side events and timer samples are intentionally dropped.
+run with a private metrics registry; their *counter* deltas are merged
+into the parent as results are recorded, while worker-side timer samples
+are intentionally dropped.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from repro.exec.resilience import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.obs import OBS, TRACER, MetricsRegistry, NullSink
+from repro.obs import OBS, TRACER, MetricsRegistry
 
 __all__ = ["Task", "run_tasks"]
 
@@ -115,14 +115,13 @@ def _worker_init() -> None:
     """Per-worker (forked child) initialisation.
 
     The child inherits the parent's :data:`OBS` facade, ``EXEC`` context,
-    and ``FAULTS`` plan. Give it a private registry and a null sink — the
-    parent owns any real sink's file handle — and force serial execution
-    so a task that itself runs a sweep cannot spawn a nested pool.
+    and ``FAULTS`` plan. Give it a private registry and force serial
+    execution so a task that itself runs a sweep cannot spawn a nested
+    pool.
     """
     from repro.exec.context import EXEC
 
     OBS.registry = MetricsRegistry()
-    OBS.sink = NullSink()
     EXEC.jobs = 1
 
 
@@ -328,10 +327,9 @@ def _run_pool(
     policy: RetryPolicy,
     observed: bool,
 ) -> None:
-    # A forked child inherits any buffered sink output; flush first so
-    # worker exits cannot replay parent bytes into a shared file. Same
-    # for the span log (children then reopen their own handles).
-    OBS.sink.flush()
+    # A forked child inherits any buffered span-log output; flush first
+    # so worker exits cannot replay parent bytes into a shared file
+    # (children then reopen their own handles).
     TRACER.flush()
     context = multiprocessing.get_context("fork")
     remaining = list(pending)

@@ -12,12 +12,9 @@ a large, slow one, with placement driven by measured reuse.
     count, not an entry count, so one huge sweep result cannot silently
     evict a thousand small ones unnoticed — it visibly costs its size.
     Hit/miss/eviction counters are kept on the instance and mirrored to
-    the obs registry (``exec.cache.hot.*``). Every lookup appends the
-    entry digest to an access log (``hot-tier.accesses`` under the cache
-    root, O_APPEND so concurrent writers interleave whole lines), which
-    is exactly the reuse stream a miss-ratio curve needs:
-    ``repro cache mrc`` replays it through :mod:`repro.trace.mrc` — the
-    repo's own Mattson machinery analysing the repo's own serving cache.
+    the obs registry (``exec.cache.hot.*``): their ratio is the tier's
+    hit ratio at the configured budget. The tier keeps no per-lookup
+    log, so nothing it writes grows with the request count.
 
 :class:`TieredCache`
     The one get/put facade the exec and serve layers use. ``get`` probes
@@ -34,13 +31,13 @@ Pool workers fork while the parent's hot tier is populated. The tier is
 plain process memory, so the child inherits a *snapshot* that the parent
 keeps mutating — sharing it would be incoherent (and the inherited lock
 state unsafe). Every operation therefore checks ``os.getpid()`` against
-the creating pid and, after a fork, discards the inherited entries and
-re-opens the access log: the child starts cold and falls through to the
-disk tier, which is fork-safe by construction (atomic same-filesystem
-renames). A child can therefore never serve a hot entry the parent
-evicted or that predates the fork — misses are the worst case, never
-stale data. Thread safety within one process is a plain lock around the
-LRU structure; the disk tier needs none beyond what it already has.
+the creating pid and, after a fork, discards the inherited entries: the
+child starts cold and falls through to the disk tier, which is
+fork-safe by construction (atomic same-filesystem renames). A child can
+therefore never serve a hot entry the parent evicted or that predates
+the fork — misses are the worst case, never stale data. Thread safety
+within one process is a plain lock around the LRU structure; the disk
+tier needs none beyond what it already has.
 """
 
 from __future__ import annotations
@@ -57,30 +54,20 @@ from repro.exec.keys import canonical_key, stable_hash
 from repro.obs import OBS
 
 __all__ = [
-    "ACCESS_LOG_NAME",
     "DEFAULT_HOT_BYTES",
     "HotTier",
     "TieredCache",
-    "read_access_log",
 ]
 
 #: Default hot-tier byte budget. Result envelopes are a few hundred bytes
 #: to a few tens of KB, so this holds on the order of 10^3..10^5 entries.
 DEFAULT_HOT_BYTES = 64 << 20
 
-#: Access-log filename under the cache root (one digest per line).
-ACCESS_LOG_NAME = "hot-tier.accesses"
-
 
 class HotTier:
     """Size-aware LRU of serialized cache entries, keyed by digest."""
 
-    def __init__(
-        self,
-        budget_bytes: int = DEFAULT_HOT_BYTES,
-        *,
-        log_path: str | os.PathLike | None = None,
-    ) -> None:
+    def __init__(self, budget_bytes: int = DEFAULT_HOT_BYTES) -> None:
         if (
             isinstance(budget_bytes, bool)
             or not isinstance(budget_bytes, int)
@@ -95,8 +82,6 @@ class HotTier:
         self._bytes = 0
         self._lock = threading.Lock()
         self._pid = os.getpid()
-        self._log_path = os.fspath(log_path) if log_path is not None else None
-        self._log_fd: int | None = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -104,7 +89,7 @@ class HotTier:
         #: Entries refused because they alone exceed the byte budget.
         self.oversize = 0
 
-    # -- fork / logging internals --------------------------------------------------
+    # -- fork internals ------------------------------------------------------------
 
     def _maybe_reset_after_fork(self) -> None:
         """Discard inherited state in a forked child (lock already held)."""
@@ -113,43 +98,13 @@ class HotTier:
         self._pid = os.getpid()
         self._entries = OrderedDict()
         self._bytes = 0
-        # The inherited fd offset is shared with the parent; O_APPEND
-        # makes writes safe, but re-opening keeps lifetimes independent.
-        if self._log_fd is not None:
-            try:
-                os.close(self._log_fd)
-            except OSError:
-                pass
-            self._log_fd = None
-
-    def _log_access(self, digest: str) -> None:
-        if self._log_path is None:
-            return
-        if self._log_fd is None:
-            try:
-                os.makedirs(os.path.dirname(self._log_path), exist_ok=True)
-                self._log_fd = os.open(
-                    self._log_path,
-                    os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                    0o644,
-                )
-            except OSError:
-                self._log_path = None  # give up quietly; logging is advisory
-                return
-        try:
-            # One whole line per write: O_APPEND keeps concurrent
-            # processes from interleaving partial lines.
-            os.write(self._log_fd, (digest + "\n").encode("ascii"))
-        except OSError:
-            pass
 
     # -- the LRU -------------------------------------------------------------------
 
     def get(self, digest: str) -> bytes | None:
-        """The serialized entry for *digest*, or None; logs the access."""
+        """The serialized entry for *digest*, or None."""
         with self._lock:
             self._maybe_reset_after_fork()
-            self._log_access(digest)
             payload = self._entries.get(digest)
             if payload is None:
                 self.misses += 1
@@ -232,26 +187,6 @@ class HotTier:
         )
 
 
-def read_access_log(root: str | os.PathLike) -> list[str]:
-    """The digests recorded under *root*, in access order.
-
-    Lines that are not plausible digests (torn writes from a crashed
-    process, stray whitespace) are dropped rather than poisoning the
-    reuse stream.
-    """
-    path = Path(root) / ACCESS_LOG_NAME
-    try:
-        text = path.read_text(encoding="ascii", errors="replace")
-    except OSError:
-        return []
-    digests = []
-    for line in text.splitlines():
-        token = line.strip()
-        if token and all(c in "0123456789abcdef" for c in token):
-            digests.append(token)
-    return digests
-
-
 class TieredCache:
     """Hot tier + disk cache behind the :class:`ResultCache` interface."""
 
@@ -260,13 +195,9 @@ class TieredCache:
         root: str | os.PathLike,
         *,
         hot_bytes: int = DEFAULT_HOT_BYTES,
-        log_accesses: bool = True,
     ) -> None:
         self.disk = ResultCache(root)
-        log_path = (
-            Path(self.disk.root) / ACCESS_LOG_NAME if log_accesses else None
-        )
-        self.hot = HotTier(hot_bytes, log_path=log_path)
+        self.hot = HotTier(hot_bytes)
 
     # -- ResultCache-compatible surface --------------------------------------------
 
@@ -331,13 +262,8 @@ class TieredCache:
         return self.disk.stats()
 
     def clear(self) -> int:
-        """Empty both tiers and the access log; returns disk entries removed."""
+        """Empty both tiers; returns disk entries removed."""
         self.hot.clear()
-        if self.hot._log_path is not None:
-            try:
-                os.unlink(self.hot._log_path)
-            except OSError:
-                pass
         return self.disk.clear()
 
     def __repr__(self) -> str:

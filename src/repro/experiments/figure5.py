@@ -43,11 +43,6 @@ class Figure5Row:
     def speedup(self) -> float:
         return self.conventional.cycles_full / self.unified.cycles_full
 
-    @property
-    def bandwidth_stall_reduction(self) -> float:
-        """Absolute drop in the bandwidth-stall fraction."""
-        return self.conventional.f_b - self.unified.f_b
-
 
 @dataclass(slots=True)
 class Figure5Result:

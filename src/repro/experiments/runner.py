@@ -195,8 +195,9 @@ def _measure_row(
         if TRACER.enabled:
             with TRACER.span(
                 "sweep.cell", workload=workload.name, simulated_size=simulated
-            ):
+            ) as span:
                 values.append(measure(workload, simulated))
+                span.attrs["value"] = values[-1]
         else:
             values.append(measure(workload, simulated))
         seconds.append(time.perf_counter() - start)
@@ -204,7 +205,6 @@ def _measure_row(
 
 
 def _evaluate_serial(
-    title: str,
     workloads: Sequence[SyntheticWorkload],
     size_list: Sequence[int],
     plans: Sequence[Sequence[_CellPlan]],
@@ -230,23 +230,14 @@ def _evaluate_serial(
             else:
                 values = _row_values(measure, workload, simulated_sizes)
             elapsed = time.perf_counter() - start
-            for (column, paper_size, simulated), value in zip(plan, values):
+            for (column, _, _), value in zip(plan, values):
                 row[column] = value
-                if observed:
-                    OBS.count("sweep.cells")
-                    OBS.emit(
-                        "sweep.cell",
-                        title=title,
-                        workload=workload.name,
-                        paper_size=paper_size,
-                        simulated_size=simulated,
-                        value=value,
-                    )
             if observed:
+                OBS.count("sweep.cells", len(values))
                 OBS.observe("sweep.row", elapsed)
             rows.append(row)
             continue
-        for column, paper_size, simulated in plan:
+        for column, _, simulated in plan:
             if not (observed or TRACER.enabled):
                 row[column] = measure(workload, simulated)
                 continue
@@ -256,24 +247,15 @@ def _evaluate_serial(
                     "sweep.cell",
                     workload=workload.name,
                     simulated_size=simulated,
-                ):
+                ) as span:
                     value = measure(workload, simulated)
+                    span.attrs["value"] = value
             else:
                 value = measure(workload, simulated)
-            if not observed:
-                row[column] = value
-                continue
-            OBS.observe("sweep.measure", time.perf_counter() - start)
-            OBS.count("sweep.cells")
-            OBS.emit(
-                "sweep.cell",
-                title=title,
-                workload=workload.name,
-                paper_size=paper_size,
-                simulated_size=simulated,
-                value=value,
-            )
             row[column] = value
+            if observed:
+                OBS.observe("sweep.measure", time.perf_counter() - start)
+                OBS.count("sweep.cells")
         rows.append(row)
     return rows
 
@@ -328,7 +310,7 @@ def evaluate_grid(
     cache = EXEC.cache if cache_key is not None else None
     if EXEC.jobs == 1 and cache is None:
         return size_list, _evaluate_serial(
-            title, workloads, size_list, plans, measure
+            workloads, size_list, plans, measure
         )
 
     tasks = []
@@ -363,21 +345,13 @@ def evaluate_grid(
     rows: list[list[object | None]] = []
     for workload, plan, outcome in zip(workloads, plans, outcomes):
         row: list[object | None] = [None] * len(size_list)
-        for (column, paper_size, simulated), value, seconds in zip(
+        for (column, _, _), value, seconds in zip(
             plan, outcome["values"], outcome["seconds"]
         ):
             if observed:
                 if seconds is not None:
                     OBS.observe("sweep.measure", seconds)
                 OBS.count("sweep.cells")
-                OBS.emit(
-                    "sweep.cell",
-                    title=title,
-                    workload=workload.name,
-                    paper_size=paper_size,
-                    simulated_size=simulated,
-                    value=value,
-                )
             row[column] = value
         if observed and outcome.get("row_seconds") is not None:
             OBS.observe("sweep.row", outcome["row_seconds"])

@@ -370,13 +370,6 @@ class Cache:
                 self.listener(
                     "writeback", block * self.config.block_bytes, cost
                 )
-        if OBS.enabled and OBS.sink.enabled:
-            OBS.emit(
-                "cache.evict",
-                cache=self.config.name,
-                block=block,
-                dirty=bool(line.dirty_mask),
-            )
         self._policy.on_evict(set_index, block)
 
     def _writeback_cost(self, line: _Line) -> int:
@@ -554,6 +547,7 @@ class Cache:
         started: float | None = None,
     ) -> None:
         """Aggregate one simulate() run into the instrumentation layer."""
+        stats = self.stats
         if TRACER.enabled and started is not None:
             TRACER.emit_span(
                 "sim.cache",
@@ -561,8 +555,11 @@ class Cache:
                 time.time(),
                 engine=engine,
                 cache=self.config.name,
+                config=self.config.describe(),
                 trace=trace.name,
-                accesses=self.stats.accesses,
+                accesses=stats.accesses,
+                misses=stats.misses,
+                traffic_bytes=stats.total_traffic_bytes,
             )
         if not OBS.enabled:
             return
@@ -570,7 +567,6 @@ class Cache:
             OBS.observe(
                 f"sim.cache.{engine}.time", max(0.0, time.time() - started)
             )
-        stats = self.stats
         OBS.count("cache.simulations")
         OBS.count("cache.accesses", stats.accesses)
         OBS.count("cache.misses", stats.misses)
@@ -580,15 +576,6 @@ class Cache:
             stats.writeback_bytes + stats.flush_writeback_bytes,
         )
         OBS.count("cache.writethrough_bytes", stats.writethrough_bytes)
-        OBS.emit(
-            "cache.simulate",
-            cache=self.config.name,
-            config=self.config.describe(),
-            trace=trace.name,
-            accesses=stats.accesses,
-            misses=stats.misses,
-            traffic_bytes=stats.total_traffic_bytes,
-        )
 
     def __repr__(self) -> str:
         return f"<Cache {self.config.describe()}>"

@@ -367,6 +367,7 @@ def _record_family(
             family=kind,
             trace=trace.name,
             sizes=len(results),
+            accesses=sum(stats.accesses for stats in results.values()),
         )
     if not OBS.enabled:
         return
@@ -375,9 +376,7 @@ def _record_family(
             f"engine.family.{kind}.time", max(0.0, time.time() - started)
         )
     OBS.count("cache.simulations", len(results))
-    total = 0
     for stats in results.values():
-        total += stats.accesses
         OBS.count("cache.accesses", stats.accesses)
         OBS.count("cache.misses", stats.misses)
         OBS.count("cache.fetch_bytes", stats.fetch_bytes)
@@ -386,13 +385,6 @@ def _record_family(
             stats.writeback_bytes + stats.flush_writeback_bytes,
         )
         OBS.count("cache.writethrough_bytes", stats.writethrough_bytes)
-    OBS.emit(
-        "engine.family",
-        family=kind,
-        trace=trace.name,
-        sizes=sorted(results),
-        accesses=total,
-    )
 
 
 def direct_mapped_family(

@@ -92,16 +92,6 @@ class TraceHierarchy:
         )
         if OBS.enabled:
             OBS.count("hierarchy.simulations")
-            for level, (config, level_stats) in enumerate(
-                zip(self.configs, result.level_stats)
-            ):
-                OBS.emit(
-                    "hierarchy.level",
-                    level=level + 1,
-                    config=config.describe(),
-                    trace=trace.name,
-                    traffic_bytes=level_stats.total_traffic_bytes,
-                )
         return result
 
 

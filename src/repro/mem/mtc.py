@@ -259,14 +259,18 @@ class MinimalTrafficCache:
         started: float | None = None,
     ) -> None:
         """Aggregate one simulate() run into the instrumentation layer."""
+        stats = self.stats
         if TRACER.enabled and started is not None:
             TRACER.emit_span(
                 "sim.mtc",
                 started,
                 time.time(),
                 engine=engine,
+                config=self.config.describe(),
                 trace=trace.name,
-                accesses=self.stats.accesses,
+                accesses=stats.accesses,
+                misses=stats.misses,
+                traffic_bytes=stats.total_traffic_bytes,
             )
         if not OBS.enabled:
             return
@@ -274,19 +278,10 @@ class MinimalTrafficCache:
             OBS.observe(
                 f"sim.mtc.{engine}.time", max(0.0, time.time() - started)
             )
-        stats = self.stats
         OBS.count("mtc.simulations")
         OBS.count("mtc.accesses", stats.accesses)
         OBS.count("mtc.misses", stats.misses)
         OBS.count("mtc.traffic_bytes", stats.total_traffic_bytes)
-        OBS.emit(
-            "mtc.simulate",
-            config=self.config.describe(),
-            trace=trace.name,
-            accesses=stats.accesses,
-            misses=stats.misses,
-            traffic_bytes=stats.total_traffic_bytes,
-        )
 
     def __repr__(self) -> str:
         return f"<MinimalTrafficCache {self.config.describe()}>"

@@ -201,11 +201,6 @@ class MINPolicy(ReplacementPolicy):
             heapq.heappop(heap)  # stale entry
         raise SimulationError("victim requested from an empty set")
 
-    def furthest_next_use(self, set_index: int) -> int:
-        """Next-use position of the current MIN victim (for bypassing)."""
-        victim = self.choose_victim(set_index, 0)
-        return self._current_next[set_index][victim]
-
 
 def compute_next_use(block_sequence: np.ndarray) -> np.ndarray:
     """For each position i, the next position referencing the same block.
@@ -213,8 +208,8 @@ def compute_next_use(block_sequence: np.ndarray) -> np.ndarray:
     Positions with no later reference get :data:`NEVER`. Vectorized: a
     stable argsort groups each block's occurrences in time order, so every
     occurrence's successor within its group is its next use. Equivalent to
-    (and property-tested against) the obvious backward dict sweep, but an
-    order of magnitude faster — this is pass 1 of every MIN simulation.
+    the obvious backward dict sweep, but an order of magnitude faster —
+    this is pass 1 of every MIN simulation.
     """
     n = int(block_sequence.size)
     next_use = np.full(n, NEVER, dtype=np.int64)
@@ -224,24 +219,6 @@ def compute_next_use(block_sequence: np.ndarray) -> np.ndarray:
     grouped = block_sequence[order]
     same_block = grouped[1:] == grouped[:-1]
     next_use[order[:-1][same_block]] = order[1:][same_block]
-    return next_use
-
-
-def compute_next_use_scalar(block_sequence: np.ndarray) -> np.ndarray:
-    """Reference implementation of :func:`compute_next_use` (backward sweep).
-
-    Kept as the differential-testing oracle for the vectorized version.
-    """
-    n = int(block_sequence.size)
-    next_use = np.full(n, NEVER, dtype=np.int64)
-    last_seen: dict[int, int] = {}
-    blocks = block_sequence.tolist()
-    for position in range(n - 1, -1, -1):
-        block = blocks[position]
-        seen = last_seen.get(block)
-        if seen is not None:
-            next_use[position] = seen
-        last_seen[block] = position
     return next_use
 
 

@@ -274,20 +274,6 @@ class SamplingEnvelope:
     miss_rate: float
     miss_rate_half_width: float
 
-    @property
-    def traffic_ratio_ci(self) -> tuple[float, float]:
-        return (
-            self.traffic_ratio - self.traffic_ratio_half_width,
-            self.traffic_ratio + self.traffic_ratio_half_width,
-        )
-
-    @property
-    def miss_rate_ci(self) -> tuple[float, float]:
-        return (
-            max(0.0, self.miss_rate - self.miss_rate_half_width),
-            min(1.0, self.miss_rate + self.miss_rate_half_width),
-        )
-
     def describe(self) -> str:
         return (
             f"sampled estimate: rate {self.rate:g}, seed {self.seed}, "
@@ -439,16 +425,6 @@ def _estimate(
     if OBS.enabled:
         OBS.count("sampled.estimates")
         OBS.count("sampled.refs", sampled)
-        OBS.emit(
-            "sampled.estimate",
-            trace=trace.name,
-            rate=rate,
-            seed=sampling.seed,
-            sampled_refs=sampled,
-            total_refs=n,
-            traffic_ratio=ratio_point,
-            traffic_ratio_half_width=envelope.traffic_ratio_half_width,
-        )
     return stats
 
 

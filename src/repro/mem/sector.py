@@ -63,10 +63,6 @@ class SectorCacheConfig:
     def num_sets(self) -> int:
         return self.num_sectors // self.associativity
 
-    @property
-    def subblocks_per_sector(self) -> int:
-        return self.sector_bytes // self.subblock_bytes
-
     def describe(self) -> str:
         return (
             f"{format_size(self.size_bytes)} sector={self.sector_bytes}B "

@@ -95,14 +95,6 @@ class TimingBus:
         if OBS.enabled:
             OBS.count(self._ctr_transfers)
             OBS.count(self._ctr_busy, duration)
-            OBS.emit(
-                "bus.transfer",
-                bus=self.name,
-                nbytes=nbytes,
-                request=request_time,
-                start=start,
-                end=end,
-            )
         return start + self.spec.proc_cycles_per_beat, end
 
 
@@ -257,7 +249,6 @@ class TimingMemory:
         if OBS.enabled:
             OBS.count("mshr.stalls")
             OBS.count("mshr.stall_cycles", earliest - time)
-            OBS.emit("mshr.stall", at=time, until=earliest)
         return earliest
 
     def _register_mshr(self, block: int, fill_time: int, release: int) -> None:
@@ -304,8 +295,6 @@ class TimingMemory:
             dirty = lines.pop(victim)
             if dirty:
                 write_back(victim)
-            if OBS.enabled and OBS.sink.enabled:
-                OBS.emit("cache.evict", cache=config.name, block=victim, dirty=dirty)
 
     def _write_back(self, block: int) -> None:
         """A dirty L1 victim: over the L1/L2 bus, written into L2."""

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import TextIO
 
 from repro.errors import ConfigurationError
-from repro.obs import OBS, EventSink, instrumented
+from repro.obs import OBS, instrumented
 from repro.util import fraction
 
 __all__ = [
@@ -159,7 +159,6 @@ def profile_experiment(
     name: str,
     *,
     max_refs: int | None = None,
-    sink: EventSink | None = None,
     jobs: int = 1,
 ) -> tuple[RunProfile, str]:
     """Run experiment *name* under full instrumentation.
@@ -167,11 +166,9 @@ def profile_experiment(
     Returns ``(profile, rendered_table)`` where *rendered_table* is the
     experiment's normal output (so a profiled run still shows its
     results). A fresh metrics registry is installed for the duration; the
-    previous :data:`~repro.obs.OBS` state is restored afterwards. When
-    *sink* is None, any sink already attached to OBS (for example by the
-    CLI's ``--trace-events``) keeps receiving events. *jobs* > 1 runs the
-    experiment's sweeps on a process pool; the result cache stays off so
-    every profiled second is simulation, not disk.
+    previous :data:`~repro.obs.OBS` state is restored afterwards. *jobs* > 1
+    runs the experiment's sweeps on a process pool; the result cache stays
+    off so every profiled second is simulation, not disk.
     """
     from repro.exec import execution
     from repro.mem import engines
@@ -201,7 +198,7 @@ def profile_experiment(
         )
         return result
 
-    with instrumented(sink=sink), execution(jobs=jobs):
+    with instrumented(), execution(jobs=jobs):
         try:
             module = staged(
                 "import", lambda: importlib.import_module(module_path)

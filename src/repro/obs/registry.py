@@ -1,7 +1,7 @@
 """Metrics registry: counters, gauges and bounded timers.
 
 The registry is the *aggregate* half of the observability layer (the
-per-event half lives in :mod:`repro.obs.events`). Simulators increment
+per-run half is the span log, :mod:`repro.obs.spans`). Simulators increment
 counters and observe timer samples; at the end of a run the registry is
 snapshotted into a plain ``dict`` that is stable under a fixed seed —
 counter and gauge values are deterministic; timer *durations* are wall

@@ -1,8 +1,8 @@
 """Request-scoped span tracing: propagated trace/span ids and JSONL logs.
 
-Where :mod:`repro.obs.events` answers "what happened, in what order"
-(deterministic, seq-numbered), spans answer "where did this request's
-*time* go". A span is one timed region with identity::
+Where the metrics registry (:mod:`repro.obs.registry`) answers "how
+much, in total", spans answer "where did this request's *time* go", and
+which run moved which bytes. A span is one timed region with identity::
 
     {"trace": "t3f2a-1", "span": "3f2a-2", "parent": "3f2a-1",
      "name": "serve.exec", "start": 1754..., "end": 1754...,

@@ -454,7 +454,6 @@ class ShardedServer(HttpServer):
                 jobs=self.config.jobs,
                 cache_dir=self.config.cache_dir,
                 retry=self.config.retry,
-                verbose=self.config.verbose,
                 trace_spans=self.config.trace_spans,
                 hot_bytes=self.config.hot_bytes,
                 workers=1,
@@ -1026,10 +1025,9 @@ class ShardedServer(HttpServer):
         The router's own counters live under :func:`repro.obs.instrumented`
         for its lifetime; each shard instruments itself the same way.
         """
-        sink = obs.StderrSink() if self.config.verbose else None
         self._spawn_workers()
         try:
-            with obs.instrumented(sink=sink):
+            with obs.instrumented():
                 code = asyncio.run(self._main(install_signals))
         finally:
             self._stop_workers()

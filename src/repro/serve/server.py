@@ -116,7 +116,6 @@ class ServeConfig:
     cache_dir: str | None = None
     #: A :class:`repro.exec.RetryPolicy`, or ``None`` for the default.
     retry: object | None = None
-    verbose: bool = False
     #: JSONL span-log path; ``None`` (the default) disables request
     #: tracing entirely (zero per-request overhead, identical output).
     trace_spans: str | None = None
@@ -499,12 +498,11 @@ class SimulationServer(HttpServer):
         restores the previous facade state afterwards — embedding a
         server in a test leaves global state exactly as found.
         """
-        sink = obs.StderrSink() if self.config.verbose else None
         tracing_before = TRACER.enabled
         if self.config.trace_spans is not None:
             TRACER.configure(self.config.trace_spans)
         try:
-            with obs.instrumented(sink=sink):
+            with obs.instrumented():
                 return asyncio.run(self._main(install_signals))
         finally:
             if self.config.trace_spans is not None and not tracing_before:
@@ -631,8 +629,7 @@ class SimulationServer(HttpServer):
         The tiered cache is consulted *before* queueing: a hit registers
         the record as already-done (born terminal, ``cached=True``) and
         nothing is scheduled. This is what makes repeats cheap — the hot
-        tier turns them into a dict lookup — and what feeds the tier's
-        reuse stream for ``repro cache mrc``.
+        tier turns them into a dict lookup.
         """
         if self.cache is None:
             return False

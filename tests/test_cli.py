@@ -135,16 +135,6 @@ class TestCommands:
 
 
 class TestObservabilityFlags:
-    def test_unwritable_trace_events_path_is_a_clean_error(self, capsys):
-        code = main(
-            ["simulate", "Espresso", "--max-refs", "1000",
-             "--trace-events", "/nonexistent-dir/events.jsonl"],
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "cannot open --trace-events path" in err
-        assert "Traceback" not in err
-
     def test_unwritable_profile_output_is_a_clean_error(
         self, capsys, monkeypatch
     ):
@@ -167,37 +157,13 @@ class TestObservabilityFlags:
         assert "Traceback" not in err
         assert out.getvalue() == ""
 
-    def test_verbose_logs_structured_events_to_stderr(self, capsys):
-        run_cli(
-            "simulate", "Espresso", "--size", "4KB", "--max-refs", "20000",
-            "--verbose",
-        )
-        err = capsys.readouterr().err
-        assert "[repro]" in err
-        assert "cache.simulate" in err
-
-    def test_trace_events_writes_jsonl(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        run_cli(
-            "simulate", "Espresso", "--size", "4KB", "--max-refs", "20000",
-            "--trace-events", str(path),
-        )
-        lines = path.read_text().strip().splitlines()
-        assert lines
-        events = [json.loads(line) for line in lines]
-        assert all("seq" in e and "kind" in e for e in events)
-        assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
-        assert any(e["kind"] == "cache.simulate" for e in events)
-
     def test_obs_disabled_after_command(self):
-        from repro.obs import OBS, NullSink
+        from repro.obs import OBS
 
-        run_cli(
-            "simulate", "Espresso", "--size", "4KB", "--max-refs", "20000",
-            "--verbose",
-        )
+        registry = OBS.registry
+        run_cli("profile", "table2", "--max-refs", "5000")  # instruments
         assert OBS.enabled is False
-        assert isinstance(OBS.sink, NullSink)
+        assert OBS.registry is registry
 
     def test_default_run_never_enables_observability(self):
         from repro.obs import OBS
@@ -263,28 +229,30 @@ class TestSpanTracingFlags:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_later_flag_failure_still_closes_the_event_sink(
-        self, tmp_path, monkeypatch
-    ):
-        from repro import obs
+    def test_seeded_span_attributes_are_deterministic(self, tmp_path):
+        """Span attributes are deterministic: two seeded runs give the
+        same span names and attributes once the ids, clocks and pids are
+        dropped."""
+        from repro.obs.spans import read_spans
 
-        closed = []
-        real_close = obs.JsonlSink.close
+        volatile = {"trace", "span", "parent", "start", "end", "pid"}
 
-        def close(sink):
-            closed.append(sink)
-            real_close(sink)
+        def one_run(name):
+            log = tmp_path / name
+            run_cli(
+                "experiment", "table8", "--max-refs", "5000", "--no-cache",
+                "--trace-spans", str(log),
+            )
+            return [
+                {key: value for key, value in record.items()
+                 if key not in volatile}
+                for record in read_spans(str(log))
+            ]
 
-        monkeypatch.setattr(obs.JsonlSink, "close", close)
-        code = main(
-            ["stats", "Li", "--max-refs", "5000",
-             "--trace-events", str(tmp_path / "events.jsonl"),
-             "--trace-spans", str(tmp_path / "no" / "dir" / "s.jsonl")]
-        )
-        assert code == 1
-        assert len(closed) == 1
-        assert obs.OBS.enabled is False
-        assert isinstance(obs.OBS.sink, obs.NullSink)
+        first = one_run("first.jsonl")
+        assert first == one_run("second.jsonl")
+        mtc = [r["attrs"] for r in first if r["name"] == "sim.mtc"]
+        assert mtc and all("traffic_bytes" in attrs for attrs in mtc)
 
 
 class TestProfileCommand:
@@ -313,21 +281,6 @@ class TestProfileCommand:
         assert "profile: table2" in text
         assert "wrote" not in text
         assert list(tmp_path.iterdir()) == []
-
-    def test_profile_with_trace_events(self, tmp_path):
-        profile_path = tmp_path / "profile.json"
-        events_path = tmp_path / "events.jsonl"
-        run_cli(
-            "profile", "table2", "--max-refs", "5000",
-            "--output", str(profile_path),
-            "--trace-events", str(events_path),
-        )
-        events = [
-            json.loads(line)
-            for line in events_path.read_text().strip().splitlines()
-        ]
-        assert any(e["kind"] == "mtc.simulate" for e in events)
-        assert profile_path.exists()
 
 
 class TestResilienceFlags:
@@ -477,82 +430,12 @@ class TestCacheStatsJson:
         }
 
 
-class TestCacheMrc:
-    """``repro cache mrc`` replays the hot tier's access log through the
-    repo's own Mattson machinery."""
-
-    def _drive_accesses(self, cache_dir):
-        # Pattern a b a b: 4 accesses, 2 distinct entries. LRU truth:
-        # capacity 1 never hits, capacity 2 hits the two repeats.
-        from repro.exec import TieredCache
-
-        cache = TieredCache(cache_dir)
-        keys = [{"seed": seed} for seed in range(2)]
-        for key in keys:
-            cache.put(key, {"output": "x" * 64})
-        for _ in range(2):
-            for key in keys:
-                assert cache.get(key) == {"output": "x" * 64}
-
-    def test_curve_matches_lru_arithmetic(self, tmp_path):
-        cache_dir = str(tmp_path / "cc")
-        self._drive_accesses(cache_dir)
-        report = json.loads(
-            run_cli("cache", "mrc", "--cache-dir", cache_dir, "--json")
-        )
-        assert report["schema"] == "repro.cache-mrc/v1"
-        assert report["accesses"] == 4
-        assert report["distinct_entries"] == 2
-        assert report["compulsory_miss_ratio"] == 0.5
-        assert [point["entries"] for point in report["curve"]] == [1, 2]
-        assert [point["hit_ratio"] for point in report["curve"]] == [0.0, 0.5]
-        assert all(point["approx_bytes"] > 0 for point in report["curve"])
-
-    def test_text_mode_renders_the_table(self, tmp_path):
-        cache_dir = str(tmp_path / "cc")
-        self._drive_accesses(cache_dir)
-        text = run_cli("cache", "mrc", "--cache-dir", cache_dir)
-        assert "4 accesses over 2 distinct entries" in text
-        assert "compulsory miss floor: 0.5000" in text
-        assert "hit ratio" in text
-
-    def test_no_access_log_prints_friendly_guidance(self, tmp_path):
-        """A cache root that never served traffic is a normal state, not
-        an error: one line saying what the log is and how to grow one."""
-        out = io.StringIO()
-        code = main(
-            ["cache", "mrc", "--cache-dir", str(tmp_path / "empty")], out=out
-        )
-        assert code == 0
-        text = out.getvalue()
-        assert "hot-tier.accesses" in text
-        assert "repro serve" in text
-        assert "hit ratio" not in text  # no empty table
-
-    def test_no_access_log_json_is_an_empty_report(self, tmp_path):
-        out = io.StringIO()
-        code = main(
-            [
-                "cache", "mrc",
-                "--cache-dir", str(tmp_path / "empty"),
-                "--json",
-            ],
-            out=out,
-        )
-        assert code == 0
-        report = json.loads(out.getvalue())
-        assert report["schema"] == "repro.cache-mrc/v1"
-        assert report["accesses"] == 0
-        assert report["distinct_entries"] == 0
-        assert report["curve"] == []
-
-
 class TestServeParser:
     def test_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert (args.host, args.port) == ("127.0.0.1", 8765)
         assert (args.queue_depth, args.max_inflight, args.jobs) == (64, 4, 1)
-        assert not args.no_cache and not args.verbose
+        assert not args.no_cache
         assert args.workers == 1
         assert args.hot_tier_bytes is None
         assert args.job_history == 4096

@@ -3,9 +3,9 @@
 The hot tier is the perf-critical half of the serving cache: these tests
 pin its LRU semantics (eviction order, byte accounting under overwrite,
 oversize refusal), the fork-coherence contract (a forked child starts
-cold and can never serve stale hot data), the access log that feeds
-``repro cache mrc``, and the :class:`TieredCache` facade's promote /
-verify / fall-through behaviour against the disk tier.
+cold and can never serve stale hot data), and the :class:`TieredCache`
+facade's promote / verify / fall-through behaviour against the disk
+tier.
 """
 
 import json
@@ -17,13 +17,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.exec import MISS, ResultCache
 from repro.exec.keys import stable_hash
-from repro.exec.tiered import (
-    ACCESS_LOG_NAME,
-    DEFAULT_HOT_BYTES,
-    HotTier,
-    TieredCache,
-    read_access_log,
-)
+from repro.exec.tiered import DEFAULT_HOT_BYTES, HotTier, TieredCache
 
 
 def payload(size: int, fill: bytes = b"x") -> bytes:
@@ -151,25 +145,6 @@ class TestForkCoherence:
         assert count == 1  # just bb; aa was discarded by the fork reset
 
 
-class TestAccessLog:
-    def test_lookups_are_logged_in_access_order(self, tmp_path):
-        log = tmp_path / ACCESS_LOG_NAME
-        tier = HotTier(budget_bytes=100, log_path=log)
-        tier.put("aa", payload(5))  # puts are not accesses
-        tier.get("aa")
-        tier.get("bb")
-        tier.get("aa")
-        assert read_access_log(tmp_path) == ["aa", "bb", "aa"]
-
-    def test_torn_and_alien_lines_are_dropped(self, tmp_path):
-        log = tmp_path / ACCESS_LOG_NAME
-        log.write_text("aa\nZZ-not-hex\n\n  \nbb\ncafe")
-        assert read_access_log(tmp_path) == ["aa", "bb", "cafe"]
-
-    def test_missing_log_reads_empty(self, tmp_path):
-        assert read_access_log(tmp_path / "nowhere") == []
-
-
 class TestTieredCache:
     KEY = {"kind": "test", "size": 4096}
     VALUE = {"output": "hello\n", "misses": 3}
@@ -246,18 +221,20 @@ class TestTieredCache:
         cache = TieredCache(tmp_path)
         cache.put(self.KEY, self.VALUE)
         cache.get(self.KEY)
-        assert read_access_log(cache.root)
         removed = cache.clear()
         assert removed == 1
         assert len(cache.hot) == 0
-        assert read_access_log(cache.root) == []
         assert cache.get(self.KEY) is MISS
 
-    def test_disabled_logging_writes_no_log(self, tmp_path):
-        cache = TieredCache(tmp_path, log_accesses=False)
+    def test_lookups_write_nothing_under_the_root(self, tmp_path):
+        """Nothing on disk grows with the lookup count."""
+        cache = TieredCache(tmp_path)
         cache.put(self.KEY, self.VALUE)
-        cache.get(self.KEY)
-        assert not (cache.root / ACCESS_LOG_NAME).exists()
+        before = sorted(tmp_path.rglob("*"))
+        for _ in range(3):
+            cache.get(self.KEY)
+            cache.get({"missing": True})
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_default_budget_is_default_hot_bytes(self, tmp_path):
         assert TieredCache(tmp_path).hot.budget_bytes == DEFAULT_HOT_BYTES

@@ -56,6 +56,27 @@ def test_closed_loop_fleet_completes_and_coalesces(load_serve, server_url):
     assert summary["coalescing"]["hit_rate"] > 0.0
 
 
+def test_every_client_is_closed_when_the_run_returns(load_serve, server_url):
+    built = []
+
+    class RecordingClient(ServeClient):
+        closed = False
+
+        def close(self):
+            super().close()
+            self.closed = True
+
+    def factory():
+        built.append(RecordingClient(server_url, timeout=120.0))
+        return built[-1]
+
+    load_serve.run_load(
+        factory, clients=2, requests=1, distinct=1, max_refs=2000
+    )
+    assert len(built) == 3  # two fleet clients and the metrics probe
+    assert all(client.closed for client in built)
+
+
 def test_summary_is_written_only_where_told(
     load_serve, server_url, tmp_path, monkeypatch
 ):

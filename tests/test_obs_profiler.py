@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import OBS, MemorySink, NullSink
+from repro.obs import OBS
 from repro.obs.profiler import (
     PROFILE_SCHEMA,
     RunProfile,
@@ -73,12 +73,6 @@ class TestProfileExperiment:
         profile_experiment("figure1")
         assert OBS.enabled == before[0]
         assert OBS.registry is before[1]
-        assert isinstance(OBS.sink, NullSink)
-
-    def test_events_flow_to_given_sink(self):
-        sink = MemorySink()
-        profile_experiment("table2", max_refs=5000, sink=sink)
-        assert sink.of_kind("mtc.simulate")
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigurationError):

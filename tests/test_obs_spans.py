@@ -137,6 +137,41 @@ class TestTracerEmission:
         assert [record["name"] for record in read_log(path)] == ["new"]
 
 
+class TestSimulatorSpans:
+    """A traced run's span carries the misses and bytes the run returned."""
+
+    def _trace(self):
+        from repro.workloads import get_workload
+
+        return get_workload("Espresso").generate(seed=3, max_refs=4000)
+
+    def _attrs(self, path, name):
+        (attrs,) = [r["attrs"] for r in read_log(path) if r["name"] == name]
+        return attrs
+
+    def test_cache_span_matches_the_returned_stats(self, span_log):
+        from repro.mem.cache import Cache, CacheConfig
+
+        config = CacheConfig(size_bytes=2048, block_bytes=32, associativity=2)
+        stats = Cache(config).simulate(self._trace())
+        attrs = self._attrs(span_log, "sim.cache")
+        assert stats.misses > 0
+        assert attrs["misses"] == stats.misses
+        assert attrs["traffic_bytes"] == stats.total_traffic_bytes
+        assert attrs["config"] == config.describe()
+
+    def test_mtc_span_matches_the_returned_stats(self, span_log):
+        from repro.mem.mtc import MinimalTrafficCache, MTCConfig
+
+        config = MTCConfig(size_bytes=1024)
+        stats = MinimalTrafficCache(config).simulate(self._trace())
+        attrs = self._attrs(span_log, "sim.mtc")
+        assert stats.misses > 0
+        assert attrs["misses"] == stats.misses
+        assert attrs["traffic_bytes"] == stats.total_traffic_bytes
+        assert attrs["config"] == config.describe()
+
+
 def _record(
     name,
     span,
