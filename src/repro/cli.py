@@ -92,7 +92,6 @@ import importlib
 import json
 import os
 import sys
-import tempfile
 from collections.abc import Sequence
 
 from repro.errors import ConfigurationError, ReproError, RunInterrupted
@@ -1273,24 +1272,21 @@ def _sampling_context(args):
     return use_sampling(SamplingConfig(rate, seed=seed))
 
 
-def _configure_fault_injection(args) -> bool:
-    """Arm the fault harness when ``--inject-fault``/``$REPRO_FAULTS`` ask.
-
-    Budgets are scoped to a throwaway token directory so a ``*1`` spec
-    fires exactly once across the parent and every forked worker.
-    Returns True when a plan was armed (the caller must disarm it).
-    """
+@contextlib.contextmanager
+def _fault_injection(args):
+    """Arm the fault harness for the command when ``--inject-fault`` or
+    ``$REPRO_FAULTS`` asks (:func:`repro.exec.faults.armed_faults`)."""
     spec = getattr(args, "inject_fault", None) or os.environ.get(
         "REPRO_FAULTS"
     )
     if not spec:
-        return False
-    from repro.exec.faults import configure_faults
+        yield
+        return
+    from repro.exec.faults import armed_faults
 
-    scope = tempfile.mkdtemp(prefix="repro-faults-")
-    configure_faults(spec, scope_dir=scope)
-    print(f"fault injection armed: {spec}", file=sys.stderr)
-    return True
+    with armed_faults(spec):
+        print(f"fault injection armed: {spec}", file=sys.stderr)
+        yield
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
@@ -1298,11 +1294,11 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     tracing = False
-    injecting = False
     try:
         tracing = _configure_tracing(args)
-        injecting = _configure_fault_injection(args)
-        with _engine_context(args), _sampling_context(args):
+        with _fault_injection(args), _engine_context(args), _sampling_context(
+            args
+        ):
             if tracing:
                 # One root span per invocation so local traces form a
                 # single tree, mirroring serve.request on the server.
@@ -1327,10 +1323,6 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if injecting:
-            from repro.exec.faults import configure_faults
-
-            configure_faults(None)
         if tracing:
             from repro.obs import disable_tracing
 

@@ -4,9 +4,15 @@ The paper's processors use "a two-level branch predictor" with an 8K-entry
 table (16K for experiment F). This is the classic global-history scheme:
 the global branch history register is XOR-folded with the branch PC to
 index a table of two-bit saturating counters [Yeh & Patt / McFarling].
+
+A branch's outcome depends only on the branches before it, never on
+timing, so a timing core trains its predictor over a run's branches in
+one pass (:meth:`TwoLevelPredictor.train`) before its cycle loop starts.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 from repro.util import log2_int, require_power_of_two
@@ -30,48 +36,54 @@ class TwoLevelPredictor:
         self._history_mask = (1 << history_bits) - 1
         self._index_mask = table_entries - 1
         # Two-bit counters initialised weakly taken, the common convention.
-        self._counters = bytearray([2]) * 1
         self._counters = bytearray([2] * table_entries)
         self.predictions = 0
         self.mispredictions = 0
 
-    def _index(self, pc: int) -> int:
-        return ((pc >> 2) ^ self._history) & self._index_mask
-
     def predict(self, pc: int) -> bool:
         """Predicted direction for the branch at *pc* (no state change)."""
-        return self._counters[self._index(pc)] >= 2
+        index = ((pc >> 2) ^ self._history) & self._index_mask
+        return self._counters[index] >= 2
+
+    def train(self, pcs: Iterable[int], takens: Iterable[bool]) -> list[bool]:
+        """Predict, then train on, each branch in program order.
+
+        *pcs* and *takens* give each branch's address and actual outcome.
+        Returns one flag per branch: True where the prediction was wrong.
+        """
+        counters = self._counters
+        history = self._history
+        history_mask = self._history_mask
+        index_mask = self._index_mask
+        missed: list[bool] = []
+        note = missed.append
+        for pc, taken in zip(pcs, takens):
+            index = ((pc >> 2) ^ history) & index_mask
+            counter = counters[index]
+            if taken:
+                note(counter < 2)
+                if counter < 3:
+                    counters[index] = counter + 1
+                history = ((history << 1) | 1) & history_mask
+            else:
+                note(counter >= 2)
+                if counter:
+                    counters[index] = counter - 1
+                history = (history << 1) & history_mask
+        self._history = history
+        self.predictions += len(missed)
+        self.mispredictions += sum(missed)
+        return missed
 
     def update(self, pc: int, taken: bool) -> bool:
-        """Predict, then train on the actual outcome.
+        """Predict, then train on one outcome.
 
         Returns True when the prediction was correct.
         """
-        index = self._index(pc)
-        prediction = self._counters[index] >= 2
-        correct = prediction == taken
-        self.predictions += 1
-        if not correct:
-            self.mispredictions += 1
-        counter = self._counters[index]
-        if taken:
-            if counter < 3:
-                self._counters[index] = counter + 1
-        else:
-            if counter > 0:
-                self._counters[index] = counter - 1
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
-        return correct
+        return not self.train((pc,), (taken,))[0]
 
     @property
     def misprediction_rate(self) -> float:
         return (
             self.mispredictions / self.predictions if self.predictions else 0.0
         )
-
-    def reset(self) -> None:
-        """Forget all history (used between the three decomposition runs)."""
-        self._counters = bytearray([2] * self.table_entries)
-        self._history = 0
-        self.predictions = 0
-        self.mispredictions = 0

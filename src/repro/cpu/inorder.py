@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cpu.branch import TwoLevelPredictor
-from repro.cpu.isa import NO_REG, NUM_REGS, OP_LATENCY, InstructionTrace, OpClass
+from repro.cpu.isa import OP_LATENCY, REGISTER_SLOTS, InstructionTrace, OpClass
 from repro.errors import ConfigurationError
 from repro.mem.timing import TimingMemory
 from repro.obs import OBS
@@ -55,42 +55,41 @@ class InOrderCore:
         self.mem_ports = mem_ports
 
     def run(self, trace: InstructionTrace) -> CoreResult:
-        memory = self.memory
-        predictor = self.predictor
+        access = self.memory.access
         issue_width = self.issue_width
         mem_ports = self.mem_ports
+        latency = OP_LATENCY
+        load_op = OpClass.LOAD.value
+        store_op = OpClass.STORE.value
+        branch_op = OpClass.BRANCH.value
+        decoded = trace.decode(self.predictor)
 
-        opclasses = trace.opclass.tolist()
-        dests = trace.dest.tolist()
-        src1s = trace.src1.tolist()
-        src2s = trace.src2.tolist()
-        addresses = trace.address.tolist()
-        takens = trace.taken.tolist()
-        pcs = trace.pc.tolist()
-
-        reg_ready = [0] * NUM_REGS
+        reg_ready = [0] * REGISTER_SLOTS
         fetch_available = 0     # earliest fetch cycle for the next instr
         cycle = 0               # current issue cycle
         slots_used = 0
         mem_slots_used = 0
         last_completion = 0
-        mispredictions = 0
-        branches = 0
         operand_stall_cycles = 0
 
-        load_op = int(OpClass.LOAD)
-        store_op = int(OpClass.STORE)
-        branch_op = int(OpClass.BRANCH)
-
-        for index in range(len(opclasses)):
-            op = opclasses[index]
+        # A full cycle moves issue on by exactly one: both slot counts are
+        # then 0, below any width, so one `if` per class is the whole
+        # slot advance.
+        for op, dest, source1, source2, address, mispredicted in zip(
+            decoded.opclass,
+            decoded.dest,
+            decoded.src1,
+            decoded.src2,
+            decoded.address,
+            decoded.mispredicted,
+        ):
             earliest = fetch_available
-            source = src1s[index]
-            if source != NO_REG and reg_ready[source] > earliest:
-                earliest = reg_ready[source]
-            source = src2s[index]
-            if source != NO_REG and reg_ready[source] > earliest:
-                earliest = reg_ready[source]
+            ready = reg_ready[source1]
+            if ready > earliest:
+                earliest = ready
+            ready = reg_ready[source2]
+            if ready > earliest:
+                earliest = ready
 
             # In-order issue: never before the current issue cycle.
             if earliest > cycle:
@@ -98,53 +97,52 @@ class InOrderCore:
                 cycle = earliest
                 slots_used = 0
                 mem_slots_used = 0
-            is_mem = op == load_op or op == store_op
-            while (
-                slots_used >= issue_width
-                or (is_mem and mem_slots_used >= mem_ports)
-            ):
-                cycle += 1
-                slots_used = 0
-                mem_slots_used = 0
-            issue = cycle
-            slots_used += 1
-            if is_mem:
+
+            if op < load_op:
+                if slots_used >= issue_width:
+                    cycle += 1
+                    slots_used = 0
+                    mem_slots_used = 0
+                slots_used += 1
+                completion = cycle + latency[op]
+            elif op != branch_op:
+                if slots_used >= issue_width or mem_slots_used >= mem_ports:
+                    cycle += 1
+                    slots_used = 0
+                    mem_slots_used = 0
+                slots_used += 1
                 mem_slots_used += 1
-
-            # Completion time.
-            if is_mem:
-                completion = memory.access(issue, addresses[index], op == store_op)
-            elif op == branch_op:
-                completion = issue + 1
+                completion = access(cycle, address, op == store_op)
             else:
-                completion = issue + OP_LATENCY[op]
-
-            dest = dests[index]
-            if dest != NO_REG:
-                reg_ready[dest] = completion
-            if completion > last_completion:
-                last_completion = completion
-
-            if op == branch_op:
-                branches += 1
-                if not predictor.update(pcs[index], takens[index]):
-                    mispredictions += 1
+                if slots_used >= issue_width:
+                    cycle += 1
+                    slots_used = 0
+                    mem_slots_used = 0
+                slots_used += 1
+                completion = cycle + 1
+                if mispredicted:
+                    # Fetch (and so issue) resumes after resolution plus
+                    # the redirect penalty.
                     fetch_available = completion + MISPREDICT_PENALTY
-                    cycle = max(cycle, fetch_available)
+                    cycle = fetch_available
                     slots_used = 0
                     mem_slots_used = 0
 
+            reg_ready[dest] = completion
+            if completion > last_completion:
+                last_completion = completion
+
         result = CoreResult(
             cycles=max(1, last_completion),
-            instructions=len(opclasses),
-            branch_mispredictions=mispredictions,
-            branches=branches,
+            instructions=len(decoded.opclass),
+            branch_mispredictions=decoded.mispredictions,
+            branches=decoded.branches,
         )
         if OBS.enabled:
             OBS.count("core.runs")
             OBS.count("core.instructions", result.instructions)
             OBS.count("core.cycles", result.cycles)
-            OBS.count("core.branches", branches)
-            OBS.count("core.mispredictions", mispredictions)
+            OBS.count("core.branches", result.branches)
+            OBS.count("core.mispredictions", result.branch_mispredictions)
             OBS.count("core.operand_stall_cycles", operand_stall_cycles)
         return result

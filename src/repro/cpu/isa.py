@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.errors import TraceError
+
+if TYPE_CHECKING:
+    from repro.cpu.branch import TwoLevelPredictor
 
 
 class OpClass(enum.IntEnum):
@@ -48,6 +52,33 @@ NUM_REGS = 64
 
 #: Source-operand sentinel for "no dependency".
 NO_REG = -1
+
+#: Register slots of a decoded trace: the NUM_REGS registers, then one
+#: slot that no instruction writes, which every absent source reads (so
+#: it is ready at cycle 0), and one that no instruction reads, which
+#: every absent destination writes.
+ABSENT_SOURCE = NUM_REGS
+ABSENT_DEST = NUM_REGS + 1
+REGISTER_SLOTS = NUM_REGS + 2
+
+
+class DecodedTrace(NamedTuple):
+    """One timing run's view of an :class:`InstructionTrace`.
+
+    The register columns name slots of a ``REGISTER_SLOTS`` file: absent
+    operands read :data:`ABSENT_SOURCE` and write :data:`ABSENT_DEST`.
+    ``mispredicted`` holds 1 at each branch the run's predictor got
+    wrong and 0 at every other instruction.
+    """
+
+    opclass: list[int]
+    dest: list[int]
+    src1: list[int]
+    src2: list[int]
+    address: list[int]
+    mispredicted: bytes
+    branches: int
+    mispredictions: int
 
 
 @dataclass(slots=True)
@@ -107,6 +138,39 @@ class InstructionTrace:
     @property
     def memory_reference_count(self) -> int:
         return int(self.is_mem.sum())
+
+    def decode(self, predictor: "TwoLevelPredictor") -> DecodedTrace:
+        """The columns one timing run iterates, as Python lists, with
+        every branch's outcome under *predictor*, which trains over the
+        branches in program order."""
+        for field_name, low, high in (
+            ("opclass", 0, len(OP_LATENCY)),
+            ("dest", NO_REG, NUM_REGS),
+            ("src1", NO_REG, NUM_REGS),
+            ("src2", NO_REG, NUM_REGS),
+        ):
+            values = getattr(self, field_name)
+            if values.size and not (low <= values.min() and values.max() < high):
+                raise TraceError(
+                    f"instruction trace field {field_name} holds a value "
+                    f"outside [{low}, {high})"
+                )
+        branch = self.opclass == OpClass.BRANCH
+        missed = predictor.train(
+            self.pc[branch].tolist(), self.taken[branch].tolist()
+        )
+        mispredicted = np.zeros(len(self), dtype=np.uint8)
+        mispredicted[branch] = missed
+        return DecodedTrace(
+            opclass=self.opclass.tolist(),
+            dest=np.where(self.dest == NO_REG, ABSENT_DEST, self.dest).tolist(),
+            src1=np.where(self.src1 == NO_REG, ABSENT_SOURCE, self.src1).tolist(),
+            src2=np.where(self.src2 == NO_REG, ABSENT_SOURCE, self.src2).tolist(),
+            address=self.address.tolist(),
+            mispredicted=mispredicted.tobytes(),
+            branches=len(missed),
+            mispredictions=sum(missed),
+        )
 
     def head(self, count: int) -> "InstructionTrace":
         """First *count* instructions (bounds timing-test runtime)."""

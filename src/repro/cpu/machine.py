@@ -18,7 +18,12 @@ from repro.cpu.inorder import CoreResult, InOrderCore
 from repro.cpu.isa import InstructionTrace
 from repro.cpu.itrace import instruction_trace_for_workload
 from repro.cpu.ooo import OutOfOrderCore
-from repro.mem.timing import MemoryMode, TimingMemory, TimingMemoryStats
+from repro.mem.timing import (
+    MemoryMode,
+    TimingMemory,
+    TimingMemoryParams,
+    TimingMemoryStats,
+)
 from repro.obs import OBS
 from repro.workloads.base import DEFAULT_SCALE, SyntheticWorkload
 
@@ -35,16 +40,27 @@ class MachineResult:
 
 
 class Machine:
-    """One of the paper's experiments A-F, ready to run traces."""
+    """One of the paper's experiments A-F, ready to run traces.
+
+    Every mode runs *config*'s processor over *memory_params*, by default
+    the experiment's own memory system at *scale*.
+    """
 
     def __init__(
-        self, config: ExperimentConfig, *, scale: float = DEFAULT_SCALE
+        self,
+        config: ExperimentConfig,
+        *,
+        scale: float = DEFAULT_SCALE,
+        memory_params: TimingMemoryParams | None = None,
     ) -> None:
         self.config = config
         self.scale = scale
+        if memory_params is None:
+            memory_params = config.timing_memory_params(scale)
+        self.memory_params = memory_params
 
     def _run_mode(self, trace: InstructionTrace, mode: MemoryMode) -> tuple[CoreResult, TimingMemoryStats]:
-        memory = TimingMemory(self.config.timing_memory_params(self.scale), mode)
+        memory = TimingMemory(self.memory_params, mode)
         predictor = TwoLevelPredictor(self.config.processor.branch_table_entries)
         processor = self.config.processor
         if processor.out_of_order:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from repro.cpu.branch import TwoLevelPredictor
 from repro.cpu.configs import ExperimentConfig, experiment
-from repro.cpu.isa import NO_REG, NUM_REGS, OP_LATENCY, InstructionTrace, OpClass
+from repro.cpu.inorder import MISPREDICT_PENALTY
+from repro.cpu.isa import OP_LATENCY, REGISTER_SLOTS, InstructionTrace, OpClass
 from repro.cpu.itrace import instruction_trace_for_workload
 from repro.errors import ConfigurationError
 from repro.mem.timing import MemoryMode, TimingMemory
@@ -51,20 +52,19 @@ class _SharedL2Memory(TimingMemory):
     ) -> int:
         """One core's data access through its own L1 *l1*; returns the
         completion cycle."""
-        params = self.params
         self.stats.accesses += 1
-        block = address // params.l1_config.block_bytes
-        lines = l1[block % len(l1)]
+        block = address // self._block_bytes
+        lines = l1[block % self._l1_sets]
         dirty = lines.pop(block, None)
         if dirty is not None:
             lines[block] = dirty or is_write
-            return time + params.l1_hit_cycles
+            return time + self._hit_cycles
         self.stats.l1_misses += 1
         self._now = time
         fill_time = self._fill(lines, self._allocate_mshr(time), block, is_write)
         if is_write:
-            return time + params.l1_hit_cycles
-        return max(time + params.l1_hit_cycles, fill_time)
+            return time + self._hit_cycles
+        return max(time + self._hit_cycles, fill_time)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,42 +137,41 @@ class ChipMultiprocessor:
         shared = _SharedL2Memory(params, MemoryMode.FULL)
         processor = config.processor
 
-        opclasses = trace.opclass.tolist()
-        dests = trace.dest.tolist()
-        src1s = trace.src1.tolist()
-        src2s = trace.src2.tolist()
-        addresses = trace.address.tolist()
-        takens = trace.taken.tolist()
-        pcs = trace.pc.tolist()
-        n = len(opclasses)
-
-        load_op = int(OpClass.LOAD)
-        store_op = int(OpClass.STORE)
-        branch_op = int(OpClass.BRANCH)
+        # Every core runs the same trace with a fresh predictor of the
+        # same size, so one predictor pass serves them all.
+        decoded = trace.decode(TwoLevelPredictor(processor.branch_table_entries))
+        latency = OP_LATENCY
+        load_op = OpClass.LOAD.value
+        store_op = OpClass.STORE.value
+        branch_op = OpClass.BRANCH.value
         width = processor.issue_width
         ruu = processor.ruu_slots
 
         # Per-core scheduling state (simplified in-order-ish OoO: issue
-        # limited by deps, window pacing via the retire recurrence).
+        # limited by deps, window pacing via the retire recurrence). The
+        # retire history starts with zeros, as the out-of-order core's.
         state = []
         for core in range(core_count):
             state.append(
                 {
-                    "reg": [0] * NUM_REGS,
-                    "retire": [0] * n,
+                    "reg": [0] * REGISTER_SLOTS,
+                    "retire": [0] * max(ruu, width),
                     "fetch_avail": 0,
                     "fetch_cycle": 0,
                     "fetched": 0,
-                    "predictor": TwoLevelPredictor(
-                        processor.branch_table_entries
-                    ),
                     "l1": shared.core_l1(),
                     "offset": core * CORE_ADDRESS_STRIDE,
-                    "last": 0,
                 }
             )
 
-        for index in range(n):
+        for op, dest, source1, source2, address, mispredicted in zip(
+            decoded.opclass,
+            decoded.dest,
+            decoded.src1,
+            decoded.src2,
+            decoded.address,
+            decoded.mispredicted,
+        ):
             for core_state in state:
                 if core_state["fetch_cycle"] < core_state["fetch_avail"]:
                     core_state["fetch_cycle"] = core_state["fetch_avail"]
@@ -180,65 +179,49 @@ class ChipMultiprocessor:
                 if core_state["fetched"] >= width:
                     core_state["fetch_cycle"] += 1
                     core_state["fetched"] = 0
-                fetch_time = core_state["fetch_cycle"]
                 core_state["fetched"] += 1
 
-                dispatch = fetch_time
-                if index >= ruu:
-                    window_free = core_state["retire"][index - ruu]
-                    if window_free > dispatch:
-                        dispatch = window_free
-
-                ready = dispatch
+                retires = core_state["retire"]
+                ready = retires[-ruu]
+                if core_state["fetch_cycle"] > ready:
+                    ready = core_state["fetch_cycle"]
                 reg = core_state["reg"]
-                source = src1s[index]
-                if source != NO_REG and reg[source] > ready:
-                    ready = reg[source]
-                source = src2s[index]
-                if source != NO_REG and reg[source] > ready:
-                    ready = reg[source]
+                if reg[source1] > ready:
+                    ready = reg[source1]
+                if reg[source2] > ready:
+                    ready = reg[source2]
 
-                op = opclasses[index]
-                if op == load_op or op == store_op:
+                if op < load_op:
+                    completion = ready + latency[op]
+                elif op != branch_op:
                     completion = shared.core_access(
                         core_state["l1"],
                         ready,
-                        addresses[index] + core_state["offset"],
+                        address + core_state["offset"],
                         op == store_op,
                     )
-                elif op == branch_op:
-                    completion = ready + 1
                 else:
-                    completion = ready + OP_LATENCY[op]
-
-                dest = dests[index]
-                if dest != NO_REG:
-                    reg[dest] = completion
+                    completion = ready + 1
+                reg[dest] = completion
 
                 retire = completion
-                retires = core_state["retire"]
-                if index and retires[index - 1] > retire:
-                    retire = retires[index - 1]
-                if index >= width:
-                    paced = retires[index - width] + 1
-                    if paced > retire:
-                        retire = paced
-                retires[index] = retire
-                if retire > core_state["last"]:
-                    core_state["last"] = retire
+                if retires[-1] > retire:
+                    retire = retires[-1]
+                paced = retires[-width] + 1
+                if paced > retire:
+                    retire = paced
+                retires.append(retire)
 
-                if op == branch_op:
-                    if not core_state["predictor"].update(
-                        pcs[index], takens[index]
-                    ):
-                        redirect = completion + 3
-                        if redirect > core_state["fetch_avail"]:
-                            core_state["fetch_avail"] = redirect
+                if mispredicted:
+                    redirect = completion + MISPREDICT_PENALTY
+                    if redirect > core_state["fetch_avail"]:
+                        core_state["fetch_avail"] = redirect
 
+        n = len(decoded.opclass)
         outcomes = [
             CoreOutcome(
                 core=core,
-                cycles=max(1, core_state["last"]),
+                cycles=max(1, core_state["retire"][-1]),
                 instructions=n,
             )
             for core, core_state in enumerate(state)

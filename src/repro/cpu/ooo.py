@@ -9,18 +9,16 @@ fetch at branch resolution plus a fixed penalty.
 
 The model is timestamp-based: each instruction's dispatch, issue, and
 completion cycles are computed in program order (greedy schedule), with
-per-cycle issue-slot and memory-port occupancy enforced through compact
-occupancy maps. Retirement uses the recurrence
+per-cycle issue-slot and memory-port occupancy enforced through byte
+arrays indexed by cycle. Retirement uses the recurrence
 ``retire[i] = max(complete[i], retire[i-1], retire[i-width] + 1)``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.cpu.branch import TwoLevelPredictor
 from repro.cpu.inorder import MISPREDICT_PENALTY, CoreResult
-from repro.cpu.isa import NO_REG, NUM_REGS, OP_LATENCY, InstructionTrace, OpClass
+from repro.cpu.isa import OP_LATENCY, REGISTER_SLOTS, InstructionTrace, OpClass
 from repro.errors import ConfigurationError
 from repro.mem.timing import TimingMemory
 from repro.obs import OBS
@@ -45,6 +43,9 @@ class OutOfOrderCore:
             raise ConfigurationError("all core dimensions must be positive")
         if wrong_path_loads < 0:
             raise ConfigurationError("wrong_path_loads cannot be negative")
+        if issue_width > 255:
+            # A cycle's issue count is kept in one byte.
+            raise ConfigurationError("issue width cannot exceed 255")
         self.memory = memory
         self.predictor = predictor
         self.ruu_size = ruu_size
@@ -59,45 +60,50 @@ class OutOfOrderCore:
         self.wrong_path_loads = wrong_path_loads
 
     def run(self, trace: InstructionTrace) -> CoreResult:
-        memory = self.memory
-        predictor = self.predictor
+        access = self.memory.access
         ruu_size = self.ruu_size
         lsq_size = self.lsq_size
         issue_width = self.issue_width
         mem_ports = self.mem_ports
         fetch_width = self.fetch_width
+        # Offsets of the loads a misprediction issues down the wrong path.
+        wrong_path = range(64, 64 * self.wrong_path_loads + 1, 64)
+        latency = OP_LATENCY
+        load_op = OpClass.LOAD.value
+        store_op = OpClass.STORE.value
+        branch_op = OpClass.BRANCH.value
+        decoded = trace.decode(self.predictor)
 
-        opclasses = trace.opclass.tolist()
-        dests = trace.dest.tolist()
-        src1s = trace.src1.tolist()
-        src2s = trace.src2.tolist()
-        addresses = trace.address.tolist()
-        takens = trace.taken.tolist()
-        pcs = trace.pc.tolist()
-        n = len(opclasses)
-
-        reg_ready = [0] * NUM_REGS
-        retire_times: list[int] = [0] * n
-        mem_retire_times: list[int] = []  # retire time of each memory op
-
-        issue_slots: dict[int, int] = defaultdict(int)
-        mem_slots: dict[int, int] = defaultdict(int)
+        reg_ready = [0] * REGISTER_SLOTS
+        # Retire times in program order, of every instruction and of each
+        # memory op, behind enough zeros that ``retired[-ruu_size]``,
+        # ``retired[-fetch_width]`` and ``mem_retired[-lsq_size]`` always
+        # exist. A zero never binds: every completion is at least 1.
+        retired = [0] * max(ruu_size, fetch_width)
+        mem_retired = [0] * lsq_size
+        retire = 0
+        # Issue-slot and memory-port use per cycle, grown on demand. Only
+        # the ruu_size - 1 instructions before one can have issued at or
+        # after its ready cycle, so it issues fewer than ruu_size cycles
+        # later: the arrays reach ruu_size cycles past every ready time.
+        issue_slots = bytearray(_OCCUPANCY_START)
+        mem_slots = bytearray(_OCCUPANCY_START)
+        occupancy_limit = _OCCUPANCY_START - ruu_size
 
         fetch_available = 0
         fetch_cycle = 0
         fetched_this_cycle = 0
-        last_completion = 0
-        mispredictions = 0
-        branches = 0
-        mem_op_count = 0
         last_address = 0
         slot_wait_cycles = 0
 
-        load_op = int(OpClass.LOAD)
-        store_op = int(OpClass.STORE)
-        branch_op = int(OpClass.BRANCH)
-
-        for index in range(n):
+        for op, dest, source1, source2, address, mispredicted in zip(
+            decoded.opclass,
+            decoded.dest,
+            decoded.src1,
+            decoded.src2,
+            decoded.address,
+            decoded.mispredicted,
+        ):
             # ---- fetch: width-limited, redirected on mispredicts ----
             if fetch_cycle < fetch_available:
                 fetch_cycle = fetch_available
@@ -105,108 +111,100 @@ class OutOfOrderCore:
             if fetched_this_cycle >= fetch_width:
                 fetch_cycle += 1
                 fetched_this_cycle = 0
-            fetch_time = fetch_cycle
             fetched_this_cycle += 1
 
             # ---- dispatch: wait for an RUU slot (i-ruu_size retired) ----
-            dispatch = fetch_time
-            if index >= ruu_size:
-                window_free = retire_times[index - ruu_size]
-                if window_free > dispatch:
-                    dispatch = window_free
-
-            op = opclasses[index]
-            is_mem = op == load_op or op == store_op
-            if is_mem and mem_op_count >= lsq_size:
-                lsq_free = mem_retire_times[mem_op_count - lsq_size]
-                if lsq_free > dispatch:
-                    dispatch = lsq_free
+            ready = retired[-ruu_size]
+            if fetch_cycle > ready:
+                ready = fetch_cycle
 
             # ---- issue: operands + slot availability ----
-            ready = dispatch
-            source = src1s[index]
-            if source != NO_REG and reg_ready[source] > ready:
-                ready = reg_ready[source]
-            source = src2s[index]
-            if source != NO_REG and reg_ready[source] > ready:
-                ready = reg_ready[source]
+            value = reg_ready[source1]
+            if value > ready:
+                ready = value
+            value = reg_ready[source2]
+            if value > ready:
+                ready = value
+            if ready >= occupancy_limit:
+                _extend(issue_slots, mem_slots, ready + ruu_size)
+                occupancy_limit = len(issue_slots) - ruu_size
 
             issue = ready
-            while issue_slots[issue] >= issue_width or (
-                is_mem and mem_slots[issue] >= mem_ports
-            ):
-                issue += 1
-            slot_wait_cycles += issue - ready
-            issue_slots[issue] += 1
-            if is_mem:
+            if op < load_op:
+                is_mem = False
+                while issue_slots[issue] >= issue_width:
+                    issue += 1
+                completion = issue + latency[op]
+            elif op != branch_op:
+                is_mem = True
+                # The LSQ entry of the memory op lsq_size back must be free.
+                value = mem_retired[-lsq_size]
+                if value > ready:
+                    ready = issue = value
+                    if ready >= occupancy_limit:
+                        _extend(issue_slots, mem_slots, ready + ruu_size)
+                        occupancy_limit = len(issue_slots) - ruu_size
+                while issue_slots[issue] >= issue_width or (
+                    mem_slots[issue] >= mem_ports
+                ):
+                    issue += 1
                 mem_slots[issue] += 1
-
-            # ---- execute ----
-            if is_mem:
-                completion = memory.access(issue, addresses[index], op == store_op)
-                last_address = addresses[index]
-            elif op == branch_op:
-                completion = issue + 1
+                completion = access(issue, address, op == store_op)
+                last_address = address
             else:
-                completion = issue + OP_LATENCY[op]
-
-            dest = dests[index]
-            if dest != NO_REG:
-                reg_ready[dest] = completion
-
-            # ---- retire: in order, width-limited ----
-            retire = completion
-            if index and retire_times[index - 1] > retire:
-                retire = retire_times[index - 1]
-            if index >= fetch_width:
-                paced = retire_times[index - fetch_width] + 1
-                if paced > retire:
-                    retire = paced
-            retire_times[index] = retire
-            if is_mem:
-                mem_retire_times.append(retire)
-                mem_op_count += 1
-            if retire > last_completion:
-                last_completion = retire
-
-            # ---- branches: speculate past predictions, redirect on miss ----
-            if op == branch_op:
-                branches += 1
-                if not predictor.update(pcs[index], takens[index]):
-                    mispredictions += 1
+                is_mem = False
+                while issue_slots[issue] >= issue_width:
+                    issue += 1
+                completion = issue + 1
+                # Speculate past predictions; a miss redirects fetch, and
+                # the loads issued down the wrong path before the branch
+                # resolved touch nearby addresses (the wrong path usually
+                # touches the same structures).
+                if mispredicted:
                     redirect = completion + MISPREDICT_PENALTY
                     if redirect > fetch_available:
                         fetch_available = redirect
-                    # Wrong-path loads issued before the branch resolved:
-                    # fabricate plausible nearby addresses (the wrong path
-                    # usually touches the same structures).
-                    if self.wrong_path_loads and last_address:
-                        for k in range(1, self.wrong_path_loads + 1):
-                            memory.access(
-                                issue, last_address + 64 * k, False
-                            )
+                    if last_address:
+                        for offset in wrong_path:
+                            access(issue, last_address + offset, False)
+            issue_slots[issue] += 1
+            slot_wait_cycles += issue - ready
+            reg_ready[dest] = completion
 
-            # Keep the occupancy maps bounded: drop cycles already passed
-            # by the in-order retire frontier (nothing issues before it
-            # minus the window span again).
-            if len(issue_slots) > 65536:
-                horizon = retire_times[max(0, index - ruu_size)] - 1
-                for table in (issue_slots, mem_slots):
-                    stale = [c for c in table if c < horizon]
-                    for c in stale:
-                        del table[c]
+            # ---- retire: in order, width-limited ----
+            if completion > retire:
+                retire = completion
+            value = retired[-fetch_width] + 1
+            if value > retire:
+                retire = value
+            retired.append(retire)
+            if is_mem:
+                mem_retired.append(retire)
 
+        n = len(decoded.opclass)
         result = CoreResult(
-            cycles=max(1, last_completion),
+            cycles=max(1, retire),
             instructions=n,
-            branch_mispredictions=mispredictions,
-            branches=branches,
+            branch_mispredictions=decoded.mispredictions,
+            branches=decoded.branches,
         )
         if OBS.enabled:
             OBS.count("core.runs")
             OBS.count("core.instructions", n)
             OBS.count("core.cycles", result.cycles)
-            OBS.count("core.branches", branches)
-            OBS.count("core.mispredictions", mispredictions)
+            OBS.count("core.branches", result.branches)
+            OBS.count("core.mispredictions", result.branch_mispredictions)
             OBS.count("core.issue_slot_wait_cycles", slot_wait_cycles)
         return result
+
+
+#: Cycles the occupancy arrays cover when a run starts.
+_OCCUPANCY_START = 1 << 12
+
+
+def _extend(issue_slots: bytearray, mem_slots: bytearray, cycle: int) -> None:
+    """Extend both occupancy arrays past *cycle*, at least doubling them."""
+    size = len(issue_slots)
+    extra = bytes(max(size, cycle + 1 - size))
+    issue_slots += extra
+    mem_slots += extra

@@ -59,6 +59,7 @@ from repro.exec.faults import (
     FAULTS,
     FaultPlan,
     FaultSpec,
+    armed_faults,
     configure_faults,
     injected_faults,
     parse_fault_spec,
@@ -101,6 +102,7 @@ __all__ = [
     "FAULTS",
     "FaultPlan",
     "FaultSpec",
+    "armed_faults",
     "configure_faults",
     "injected_faults",
     "parse_fault_spec",

@@ -74,6 +74,8 @@ load and a branch.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -88,6 +90,7 @@ __all__ = [
     "FAULTS",
     "parse_fault_spec",
     "configure_faults",
+    "armed_faults",
     "injected_faults",
 ]
 
@@ -305,3 +308,24 @@ def injected_faults(
             FAULTS.parent_pid,
             FAULTS.scope_dir,
         ) = prior
+
+
+@contextmanager
+def armed_faults(spec: str) -> Iterator[FaultPlan]:
+    """Arm :data:`FAULTS` from *spec* for one command run.
+
+    Budgets are scoped to a fresh ``repro-faults-*`` temporary directory,
+    so a ``*1`` spec fires exactly once across the parent and every
+    forked worker. On exit the plan is disarmed and the directory
+    removed, also when *spec* fails to parse. Only the arming process
+    cleans up: a forked child that unwinds through the block leaves the
+    plan and the directory to its parent.
+    """
+    scope = tempfile.mkdtemp(prefix="repro-faults-")
+    owner = os.getpid()
+    try:
+        yield configure_faults(spec, scope_dir=scope)
+    finally:
+        if os.getpid() == owner:
+            configure_faults(None)
+            shutil.rmtree(scope, ignore_errors=True)

@@ -22,13 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.decomposition import ExecutionDecomposition
-from repro.cpu.branch import TwoLevelPredictor
 from repro.cpu.configs import ExperimentConfig, experiment
 from repro.cpu.itrace import instruction_trace_for_workload
 from repro.cpu.machine import Machine
-from repro.cpu.ooo import OutOfOrderCore
 from repro.mem.cache import CacheConfig
-from repro.mem.timing import BusSpec, MemoryMode, TimingMemory, TimingMemoryParams
+from repro.mem.timing import BusSpec, TimingMemoryParams
 from repro.workloads.base import DEFAULT_SCALE
 from repro.workloads.registry import get_workload
 
@@ -85,33 +83,6 @@ def unified_memory_params(
     )
 
 
-def _run_unified(config: ExperimentConfig, itrace, scale: float):
-    """Three-mode decomposition with the unified memory system."""
-    params = unified_memory_params(config, scale)
-    cycles = {}
-    for mode in MemoryMode:
-        memory = TimingMemory(params, mode)
-        predictor = TwoLevelPredictor(config.processor.branch_table_entries)
-        core = OutOfOrderCore(
-            memory,
-            predictor,
-            ruu_size=config.processor.ruu_slots,
-            lsq_size=config.processor.lsq_entries,
-            issue_width=config.processor.issue_width,
-            mem_ports=config.processor.mem_ports,
-        )
-        cycles[mode] = core.run(itrace).cycles
-    from repro.core.decomposition import decompose
-
-    return decompose(
-        cycles[MemoryMode.PERFECT],
-        cycles[MemoryMode.INFINITE],
-        cycles[MemoryMode.FULL],
-        instructions=len(itrace),
-        label="unified",
-    )
-
-
 def run(
     *,
     benchmarks: tuple[str, ...] = ("Swm", "Tomcatv", "Compress"),
@@ -128,7 +99,11 @@ def run(
             workload, seed=seed, max_refs=max_refs
         )
         conventional = Machine(config, scale=scale).run(itrace).decomposition
-        unified = _run_unified(config, itrace, scale)
+        unified = Machine(
+            config,
+            scale=scale,
+            memory_params=unified_memory_params(config, scale),
+        ).run(itrace).decomposition
         rows.append(
             Figure5Row(
                 benchmark=name, conventional=conventional, unified=unified

@@ -162,10 +162,17 @@ class TimingMemory:
         self.mode = mode
         self.stats = TimingMemoryStats()
         infinite = mode is not MemoryMode.FULL
-        self._l1 = [{} for _ in range(params.l1_config.num_sets)]
+        # What every access reads, looked up once.
+        self._perfect = mode is MemoryMode.PERFECT
+        self._block_bytes = params.l1_config.block_bytes
+        self._l1_sets = params.l1_config.num_sets
+        self._hit_cycles = params.l1_hit_cycles
+        self._prefetch = params.tagged_prefetch
+        self._l1 = [{} for _ in range(self._l1_sets)]
         self._l2 = [{} for _ in range(params.l2_config.num_sets)]
         self._l1_l2 = TimingBus(params.l1_l2_bus, infinite=infinite, name="l1_l2")
         self._l2_mem = TimingBus(params.l2_mem_bus, infinite=infinite, name="l2_mem")
+        #: Time of the access being served (write-backs start then).
         self._now = 0
         #: Outstanding fills: block -> (fill_time, mshr_release_time).
         self._outstanding: dict[int, tuple[int, int]] = {}
@@ -185,41 +192,43 @@ class TimingMemory:
         arrives.
         """
         self.stats.accesses += 1
-        if self.mode is MemoryMode.PERFECT:
+        if self._perfect:
             return time + 1
 
-        self._now = time
-        params = self.params
-        block = address // params.l1_config.block_bytes
-        lines = self._l1[block % len(self._l1)]
+        block = address // self._block_bytes
+        lines = self._l1[block % self._l1_sets]
         dirty = lines.pop(block, None)
         if dirty is not None:
             lines[block] = dirty or is_write
-            completion = time + params.l1_hit_cycles
-            pending = self._outstanding.get(block)
-            if pending is not None and pending[0] > time and not is_write:
-                # The block's fill is still in flight: this reference
-                # merges into the outstanding miss and waits for the data.
-                self.stats.mshr_merges += 1
-                if OBS.enabled:
-                    OBS.count("mshr.merges")
-                completion = max(completion, pending[0])
-            if params.tagged_prefetch and block in self._prefetch_tags:
+            completion = time + self._hit_cycles
+            if not is_write:
+                pending = self._outstanding.get(block)
+                if pending is not None and pending[0] > time:
+                    # The block's fill is still in flight: this reference
+                    # merges into the outstanding miss and waits for the
+                    # data.
+                    self.stats.mshr_merges += 1
+                    if OBS.enabled:
+                        OBS.count("mshr.merges")
+                    completion = max(completion, pending[0])
+            if self._prefetch and block in self._prefetch_tags:
                 # First demand reference to a prefetched block: tag fires.
                 self._prefetch_tags.discard(block)
+                self._now = time
                 self._issue_prefetch(time, block + 1)
             return completion
 
         # ---- L1 miss ----
+        self._now = time
         self.stats.l1_misses += 1
         if OBS.enabled:
             OBS.count("timing.l1_misses")
         fill_time = self._fill(lines, self._allocate_mshr(time), block, is_write)
-        if params.tagged_prefetch:
+        if self._prefetch:
             self._issue_prefetch(time, block + 1)
         if is_write:
-            return time + params.l1_hit_cycles
-        return max(time + params.l1_hit_cycles, fill_time)
+            return time + self._hit_cycles
+        return max(time + self._hit_cycles, fill_time)
 
     def busy_fraction(self, total_cycles: int) -> tuple[float, float]:
         """(L1/L2, L2/mem) bus utilisation over *total_cycles*."""

@@ -372,6 +372,26 @@ class TestResilienceFlags:
         capsys.readouterr()
         assert not FAULTS.active
 
+    def test_fault_scope_directory_removed_after_command(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        codes = [
+            main(
+                [
+                    "experiment", "table2", "--max-refs", "2000",
+                    "--no-cache", "--inject-fault", spec,
+                ],
+                out=io.StringIO(),
+            )
+            for spec in ("bogus!!", "worker.kill@Nothing")
+        ]
+        capsys.readouterr()
+        assert codes == [1, 0]
+        assert not list(tmp_path.glob("repro-faults-*"))
+
     def test_quarantine_surfaces_in_cache_stats(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cc")
         run_cli(

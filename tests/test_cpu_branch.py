@@ -79,13 +79,18 @@ class TestCounters:
         predictor.update(0, False)
         assert predictor.predict(0) is True
 
-    def test_reset(self):
-        predictor = TwoLevelPredictor(64)
-        for _ in range(10):
-            predictor.update(0, False)
-        predictor.reset()
-        assert predictor.predictions == 0
-        assert predictor.predict(0) is True  # back to weakly taken
+    def test_training_in_pieces_matches_one_pass(self):
+        rng = np.random.default_rng(1)
+        pcs = (0x1000 + 16 * rng.integers(0, 32, size=600)).tolist()
+        takens = (rng.random(600) < 0.7).tolist()
+        whole = TwoLevelPredictor(256)
+        flags = whole.train(pcs, takens)
+        pieces = TwoLevelPredictor(256)
+        assert pieces.train(pcs[:250], takens[:250]) + pieces.train(
+            pcs[250:], takens[250:]
+        ) == flags
+        assert whole.predictions == pieces.predictions == 600
+        assert whole.mispredictions == pieces.mispredictions == sum(flags)
 
     def test_rate_of_fresh_predictor(self):
         assert TwoLevelPredictor(64).misprediction_rate == 0.0

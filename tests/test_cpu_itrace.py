@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.cpu.isa import NO_REG, InstructionTrace, OpClass
+from repro.cpu.branch import TwoLevelPredictor
+from repro.cpu.isa import (
+    ABSENT_DEST,
+    ABSENT_SOURCE,
+    NO_REG,
+    InstructionTrace,
+    OpClass,
+)
 from repro.cpu.itrace import (
     PROFILES,
     WorkloadProfile,
@@ -63,6 +70,62 @@ class TestInstructionTraceContainer:
         assert len(shorter) == 10
         with pytest.raises(TraceError):
             itrace.head(0)
+
+    def test_decode_moves_absent_operands_to_spare_slots(self):
+        itrace = instruction_trace_for_workload(
+            get_workload("Compress"), max_refs=500
+        )
+        decoded = itrace.decode(TwoLevelPredictor(1024))
+        for column, decoded_column, spare in (
+            (itrace.dest, decoded.dest, ABSENT_DEST),
+            (itrace.src1, decoded.src1, ABSENT_SOURCE),
+            (itrace.src2, decoded.src2, ABSENT_SOURCE),
+        ):
+            expected = np.where(column == NO_REG, spare, column)
+            assert decoded_column == expected.tolist()
+        assert decoded.opclass == itrace.opclass.tolist()
+        assert decoded.address == itrace.address.tolist()
+        # No source reads the sink, and nothing writes the always-ready slot.
+        assert ABSENT_DEST not in decoded.src1 + decoded.src2
+        assert ABSENT_SOURCE not in decoded.dest
+
+    def test_decode_flags_each_mispredicted_branch(self):
+        itrace = instruction_trace_for_workload(
+            get_workload("Compress"), max_refs=500
+        )
+        decoded = itrace.decode(TwoLevelPredictor(1024))
+        reference = TwoLevelPredictor(1024)
+        expected = [
+            int(
+                op == OpClass.BRANCH
+                and not reference.update(pc, taken)
+            )
+            for op, pc, taken in zip(
+                itrace.opclass.tolist(),
+                itrace.pc.tolist(),
+                itrace.taken.tolist(),
+            )
+        ]
+        assert list(decoded.mispredicted) == expected
+        assert decoded.branches == int(itrace.is_branch.sum()) > 0
+        assert decoded.mispredictions == sum(expected) > 0
+
+    @pytest.mark.parametrize(
+        "field, value", [("dest", 64), ("src1", -2), ("opclass", 8)]
+    )
+    def test_decode_rejects_values_outside_the_isa(self, field, value):
+        columns = dict(
+            opclass=np.zeros(2, dtype=np.int8),
+            dest=np.zeros(2, dtype=np.int16),
+            src1=np.full(2, NO_REG, dtype=np.int16),
+            src2=np.full(2, NO_REG, dtype=np.int16),
+            address=np.zeros(2, dtype=np.int64),
+            taken=np.zeros(2, dtype=bool),
+            pc=np.zeros(2, dtype=np.int64),
+        )
+        columns[field][1] = value
+        with pytest.raises(TraceError, match=field):
+            InstructionTrace(**columns).decode(TwoLevelPredictor(64))
 
 
 class TestBuildInstructionTrace:

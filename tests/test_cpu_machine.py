@@ -159,6 +159,16 @@ class TestBlockSizeAndSpeculation:
                 memory, TwoLevelPredictor(64), wrong_path_loads=-1
             )
 
+    def test_issue_width_fits_a_byte(self):
+        from repro.errors import ConfigurationError
+
+        memory = TimingMemory(
+            experiment("D").timing_memory_params(0.25), MemoryMode.FULL
+        )
+        OutOfOrderCore(memory, TwoLevelPredictor(64), issue_width=255)
+        with pytest.raises(ConfigurationError):
+            OutOfOrderCore(memory, TwoLevelPredictor(64), issue_width=256)
+
 
 def _mode_runs(config, trace, params, modes=tuple(MemoryMode)):
     """``(CoreResult, TimingMemoryStats)`` of *config*'s core over *trace*
@@ -268,6 +278,105 @@ class TestTimingDigests:
     def test_both_suites_are_pinned(self):
         suites = [get_workload(name).suite for name in TIMING_DIGESTS]
         assert sorted(suites) == ["SPEC92"] * 2 + ["SPEC95"] * 2
+
+
+#: Reference budget of :data:`LONG_RUN_DIGESTS` (trace seed 0).
+LONG_RUN_REFS = 20_000
+
+#: SHA-256 over every ``CoreResult`` and ``TimingMemoryStats`` field of
+#: experiment F's full, infinite and perfect runs at LONG_RUN_REFS. The
+#: full runs span 147,662 (Applu) and 71,385 (Compress) cycles: past
+#: 65,536, so the out-of-order core's per-cycle issue occupancy covers
+#: more cycles than any 1,500-reference digest reaches.
+LONG_RUN_DIGESTS = {
+    "Applu": "6ef30671e7353579f78e509edd1ee2ec234fe6589ba60ba1176e34b118c35214",
+    "Compress": "c26e8ce236fc9b40980d75e598fa5ec877218fe96e463a1ae91f585e9ff61d9f",
+}
+
+
+class TestLongRunDigests:
+    @pytest.mark.parametrize("name", sorted(LONG_RUN_DIGESTS))
+    def test_experiment_f_long_run_pinned(self, name):
+        workload = get_workload(name)
+        trace = instruction_trace_for_workload(
+            workload, seed=0, max_refs=LONG_RUN_REFS
+        )
+        config = experiment("F", workload.suite)
+        runs = _mode_runs(
+            config, trace, config.timing_memory_params(workload.scale)
+        )
+        full, _ = runs[0]
+        assert full.cycles > 65_536
+        assert _timing_digest(runs) == LONG_RUN_DIGESTS[name]
+
+    def test_both_suites_are_pinned(self):
+        suites = [get_workload(name).suite for name in LONG_RUN_DIGESTS]
+        assert sorted(suites) == ["SPEC92", "SPEC95"]
+
+
+#: Cores at the edges of their dimensions: a window smaller than the
+#: fetch width, a one-entry LSQ, one issue slot and one memory port.
+EDGE_CORES = {
+    "ooo-ruu2-fetch4": lambda memory, predictor: OutOfOrderCore(
+        memory,
+        predictor,
+        ruu_size=2,
+        lsq_size=1,
+        issue_width=1,
+        mem_ports=1,
+        fetch_width=4,
+        wrong_path_loads=0,
+    ),
+    "ooo-ruu1-fetch8": lambda memory, predictor: OutOfOrderCore(
+        memory,
+        predictor,
+        ruu_size=1,
+        lsq_size=3,
+        issue_width=2,
+        mem_ports=1,
+        fetch_width=8,
+        wrong_path_loads=0,
+    ),
+    "inorder-width1": lambda memory, predictor: InOrderCore(
+        memory, predictor, issue_width=1, mem_ports=1
+    ),
+    "inorder-width3-port1": lambda memory, predictor: InOrderCore(
+        memory, predictor, issue_width=3, mem_ports=1
+    ),
+}
+
+#: SHA-256 over every ``CoreResult`` and ``TimingMemoryStats`` field of
+#: one edge core's three mode runs on Applu and Compress (TIMING_REFS,
+#: TIMING_SEED), with experiment A's and then experiment F's memory.
+EDGE_DIGESTS = {
+    "inorder-width1": "7980eccd3a96bb9ef67fd98d9318c53885ed46ce00ed0d0046048d1275357807",
+    "inorder-width3-port1": "e181974e9318a8226ce482b7184677433c25319f8c86336e714fee8d6ef2c1d6",
+    "ooo-ruu1-fetch8": "fa0f65f8917df47a0f0e97b72574c4271173e79f6a71e66a268acf44608ba219",
+    "ooo-ruu2-fetch4": "ed54ebf6a883a1dd2dfe61a7377bd657b002aac77350d3e6e59dbd6bf8d67d43",
+}
+
+
+class TestEdgeConfigurationDigests:
+    @pytest.mark.parametrize("name", sorted(EDGE_CORES))
+    def test_edge_core_pinned(self, name):
+        build = EDGE_CORES[name]
+        runs = []
+        for workload_name in ("Applu", "Compress"):
+            workload = get_workload(workload_name)
+            trace = instruction_trace_for_workload(
+                workload, seed=TIMING_SEED, max_refs=TIMING_REFS
+            )
+            for experiment_name in "AF":
+                config = experiment(experiment_name, workload.suite)
+                params = config.timing_memory_params(workload.scale)
+                for mode in MemoryMode:
+                    memory = TimingMemory(params, mode)
+                    predictor = TwoLevelPredictor(
+                        config.processor.branch_table_entries
+                    )
+                    result = build(memory, predictor).run(trace)
+                    runs.append((result, memory.stats))
+        assert _timing_digest(runs) == EDGE_DIGESTS[name]
 
 
 #: Stats that say what moved rather than when it moved.
