@@ -20,6 +20,9 @@ evaluation; see DESIGN.md for the per-experiment index.
 registry, span tracing, and the experiment profiler behind
 ``python -m repro profile`` (see docs/observability.md).
 
+Importing ``repro`` loads none of these layers: each name in ``__all__``
+imports its module on first use, so a command loads only what it runs.
+
 Quickstart::
 
     from repro import Cache, CacheConfig, MinimalTrafficCache, MTCConfig
@@ -33,72 +36,55 @@ Quickstart::
     print(stats.total_traffic_bytes / mtc.simulate(trace).total_traffic_bytes)  # G
 """
 
-from repro.core.decomposition import ExecutionDecomposition, decompose
-from repro.core.traffic import (
-    effective_pin_bandwidth,
-    measure_inefficiency,
-    optimal_effective_pin_bandwidth,
-    traffic_inefficiency,
-    traffic_ratio,
-)
-from repro.errors import (
-    ConfigurationError,
-    ReproError,
-    SimulationError,
-    TraceError,
-    WorkloadError,
-)
-from repro.mem.cache import (
-    AllocatePolicy,
-    Cache,
-    CacheConfig,
-    CacheStats,
-    WritePolicy,
-)
-from repro.mem.hierarchy import HierarchyResult, TraceHierarchy
-from repro.mem.mtc import MinimalTrafficCache, MTCConfig, minimal_traffic_bytes
-from repro.obs import OBS, Instrumentation, MetricsRegistry
-from repro.trace.model import MemRecord, MemTrace, WORD_BYTES
-from repro.workloads import all_workloads, get_workload, workload_names
+from repro.util import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ReproError",
-    "ConfigurationError",
-    "SimulationError",
-    "TraceError",
-    "WorkloadError",
+#: The public API: each module with the names ``repro`` re-exports from
+#: it. Importing ``repro`` loads none of them; a name's module loads on
+#: first use (PEP 562).
+_EXPORTS = {
+    "repro.errors": (
+        "ReproError",
+        "ConfigurationError",
+        "SimulationError",
+        "TraceError",
+        "WorkloadError",
+    ),
     # traces and workloads
-    "MemRecord",
-    "MemTrace",
-    "WORD_BYTES",
-    "all_workloads",
-    "get_workload",
-    "workload_names",
+    "repro.trace.model": ("MemRecord", "MemTrace", "WORD_BYTES"),
+    "repro.workloads.registry": (
+        "all_workloads",
+        "get_workload",
+        "workload_names",
+    ),
     # caches
-    "Cache",
-    "CacheConfig",
-    "CacheStats",
-    "WritePolicy",
-    "AllocatePolicy",
-    "TraceHierarchy",
-    "HierarchyResult",
-    "MinimalTrafficCache",
-    "MTCConfig",
-    "minimal_traffic_bytes",
+    "repro.mem.cache": (
+        "Cache",
+        "CacheConfig",
+        "CacheStats",
+        "WritePolicy",
+        "AllocatePolicy",
+    ),
+    "repro.mem.hierarchy": ("TraceHierarchy", "HierarchyResult"),
+    "repro.mem.mtc": (
+        "MinimalTrafficCache",
+        "MTCConfig",
+        "minimal_traffic_bytes",
+    ),
     # observability
-    "OBS",
-    "Instrumentation",
-    "MetricsRegistry",
+    "repro.obs": ("OBS", "Instrumentation", "MetricsRegistry"),
     # metrics
-    "ExecutionDecomposition",
-    "decompose",
-    "traffic_ratio",
-    "traffic_inefficiency",
-    "measure_inefficiency",
-    "effective_pin_bandwidth",
-    "optimal_effective_pin_bandwidth",
-]
+    "repro.core.decomposition": ("ExecutionDecomposition", "decompose"),
+    "repro.core.traffic": (
+        "traffic_ratio",
+        "traffic_inefficiency",
+        "measure_inefficiency",
+        "effective_pin_bandwidth",
+        "optimal_effective_pin_bandwidth",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = ["__version__", *(n for names in _EXPORTS.values() for n in names)]

@@ -672,14 +672,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list(args, out) -> None:
-    from repro.workloads import all_workloads
+    from repro.workloads.registry import all_workloads
 
     if getattr(args, "json", False):
-        from repro.scenario import (
-            SCENARIO_DEFAULTS,
-            SCENARIO_SCHEMA,
-            pattern_catalog,
-        )
+        from repro.scenario.patterns import pattern_catalog
+        from repro.scenario.spec import SCENARIO_DEFAULTS, SCENARIO_SCHEMA
 
         payload = {
             "schema": "repro.list/v1",
@@ -720,7 +717,7 @@ def _cmd_list(args, out) -> None:
             file=out,
         )
     print("\nscenario patterns (see `repro scenario list`):", file=out)
-    from repro.scenario import PATTERN_KINDS
+    from repro.scenario.patterns import PATTERN_KINDS
 
     for kind, (_, description) in PATTERN_KINDS.items():
         print(f"  {kind:<10s} {description}", file=out)
@@ -732,7 +729,7 @@ def _retry_policy(args):
     timeout = getattr(args, "task_timeout", None)
     if retries is None and timeout is None:
         return None
-    from repro.exec import RetryPolicy
+    from repro.exec.resilience import RetryPolicy
 
     return RetryPolicy(
         attempts=retries if retries is not None else 3, timeout=timeout
@@ -754,8 +751,8 @@ def run_experiment(name: str, max_refs: int | None = None) -> str:
 
 
 def _cmd_experiment(args, out) -> None:
-    from repro.exec import EXEC, clear_checkpoint, default_cache_dir, execution
-    from repro.exec.resilience import read_checkpoint
+    from repro.exec.context import EXEC, default_cache_dir, execution
+    from repro.exec.resilience import clear_checkpoint, read_checkpoint
 
     cache_dir = None
     if not args.no_cache:
@@ -788,12 +785,23 @@ def _cmd_experiment(args, out) -> None:
     out.write(text)
 
 
+def _names_scenario(text: str) -> bool:
+    """True when a workload argument spells a scenario spec: inline
+    ``scenario:{...}`` JSON, ``@spec.json`` or ``spec.json``."""
+    return text.startswith(("scenario:", "@")) or text.endswith(".json")
+
+
 def _resolve_workload(text: str):
     """A workload from a CLI argument: registry name, spec file, or
-    inline ``scenario:{...}`` JSON (see docs/scenarios.md)."""
-    from repro.scenario import resolve_workload
+    inline ``scenario:{...}`` JSON (see docs/scenarios.md). Only a spec
+    loads the scenario engine."""
+    if _names_scenario(text):
+        from repro.scenario.workload import resolve_workload
 
-    return resolve_workload(text)
+        return resolve_workload(text)
+    from repro.workloads.registry import get_workload
+
+    return get_workload(text)
 
 
 def _workload_seed(workload, cli_seed: int) -> int:
@@ -870,12 +878,9 @@ def simulation_report(
 
 def _require_spec(text: str):
     """The ScenarioSpec for a ``repro scenario`` SPEC argument."""
-    from repro.scenario import resolve_spec_argument
+    from repro.scenario.spec import resolve_spec_argument
 
-    spec = resolve_spec_argument(text if text.endswith(".json") or
-                                 text.startswith(("@", "scenario:"))
-                                 else "@" + text)
-    return spec
+    return resolve_spec_argument(text if _names_scenario(text) else "@" + text)
 
 
 def _print_scenario_header(spec, out) -> None:
@@ -905,11 +910,8 @@ def _cmd_scenario(args, out) -> None:
 
 
 def _cmd_scenario_list(args, out) -> None:
-    from repro.scenario import (
-        SCENARIO_DEFAULTS,
-        SCENARIO_SCHEMA,
-        pattern_catalog,
-    )
+    from repro.scenario.patterns import pattern_catalog
+    from repro.scenario.spec import SCENARIO_DEFAULTS, SCENARIO_SCHEMA
 
     if args.json:
         json.dump(
@@ -947,7 +949,7 @@ def _cmd_scenario_list(args, out) -> None:
 
 
 def _cmd_scenario_run(args, out) -> None:
-    from repro.scenario import ScenarioWorkload
+    from repro.scenario.workload import ScenarioWorkload
 
     spec = _require_spec(args.spec)
     _print_scenario_header(spec, out)
@@ -958,7 +960,7 @@ def _cmd_scenario_run(args, out) -> None:
 
 def _cmd_scenario_mix(args, out) -> None:
     from repro.mem.cache import CacheConfig
-    from repro.scenario import MixedTrace, attribute_traffic, mix
+    from repro.scenario.mixer import MixedTrace, attribute_traffic, mix
     from repro.trace.model import MemTrace
 
     spec = _require_spec(args.spec)
@@ -1066,7 +1068,8 @@ def _cmd_profile(args, out) -> None:
 
 
 def _cmd_cache(args, out) -> None:
-    from repro.exec import ResultCache, default_cache_dir
+    from repro.exec.cache import ResultCache
+    from repro.exec.context import default_cache_dir
 
     cache = ResultCache(args.cache_dir or default_cache_dir())
     if args.action == "stats":
@@ -1081,7 +1084,7 @@ def _cmd_cache(args, out) -> None:
 
 
 def _cmd_serve(args) -> int:
-    from repro.exec import default_cache_dir
+    from repro.exec.context import default_cache_dir
     from repro.serve.router import ShardedServer
     from repro.serve.server import ServeConfig, SimulationServer
 

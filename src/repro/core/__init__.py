@@ -9,22 +9,3 @@
 * :mod:`repro.core.growth` — I/O-complexity growth models (Table 2).
 * :mod:`repro.core.qualitative` — the Table 1 trend matrix.
 """
-
-from repro.core.decomposition import ExecutionDecomposition, decompose
-from repro.core.traffic import (
-    TrafficInefficiency,
-    effective_pin_bandwidth,
-    optimal_effective_pin_bandwidth,
-    traffic_inefficiency,
-    traffic_ratio,
-)
-
-__all__ = [
-    "ExecutionDecomposition",
-    "decompose",
-    "traffic_ratio",
-    "traffic_inefficiency",
-    "TrafficInefficiency",
-    "effective_pin_bandwidth",
-    "optimal_effective_pin_bandwidth",
-]

@@ -8,32 +8,6 @@ modes (perfect memory / infinite-width buses / full system) produce the
 ``T_P``/``T_I``/``T`` cycle counts of the execution-time decomposition.
 """
 
-from repro.cpu.configs import (
-    EXPERIMENTS,
-    ExperimentConfig,
-    MemoryParams,
-    ProcessorParams,
-    experiment,
-)
-from repro.cpu.isa import InstructionTrace, OpClass
-from repro.cpu.itrace import WorkloadProfile, build_instruction_trace
-from repro.cpu.machine import Machine, MachineResult, decompose_experiment
-from repro.cpu.multicore import ChipMultiprocessor, CMPResult, cmp_scaling
+from repro.util import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentConfig",
-    "MemoryParams",
-    "ProcessorParams",
-    "experiment",
-    "InstructionTrace",
-    "OpClass",
-    "WorkloadProfile",
-    "build_instruction_trace",
-    "Machine",
-    "MachineResult",
-    "decompose_experiment",
-    "ChipMultiprocessor",
-    "CMPResult",
-    "cmp_scaling",
-]
+__getattr__ = lazy_exports(__name__, {"repro.cpu.configs": ("experiment",)})

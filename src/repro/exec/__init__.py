@@ -22,7 +22,9 @@ alive through the failures that parallel full-trace sweeps attract:
 * :mod:`repro.exec.faults` — the fault-injection harness
   (``REPRO_FAULTS`` / ``--inject-fault``) that kills workers, raises in
   tasks, corrupts cache entries, and delays tasks on demand so every
-  recovery path is exercised in tests rather than trusted;
+  recovery path is exercised in tests rather than trusted (the plan it
+  arms, :data:`repro.faults.FAULTS`, is a leaf module, so the simulator
+  core checks it without importing this package);
 * :mod:`repro.exec.keys` — the canonical hashing behind cache keys;
 * :mod:`repro.exec.context` — the process-wide :data:`EXEC` context
   (jobs + cache + retry policy) that ``sweep_grid``/``evaluate_grid``
@@ -35,91 +37,44 @@ pytest via ``--jobs``, and
 ``scripts/regenerate_experiments.py`` via its own flags. See
 docs/performance.md for the cache layout and measured numbers, and
 docs/robustness.md for the failure taxonomy and recovery ladder.
+
+Importing this package loads none of these modules: each name it
+re-exports imports its module on first use, so a serial, uncached run
+never loads the process pool.
 """
 
-from __future__ import annotations
+from repro.util import lazy_exports
 
-from repro.exec.cache import (
-    CACHE_SCHEMA,
-    MISS,
-    QUARANTINE_DIR,
-    CacheStats,
-    ResultCache,
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.exec.cache": (
+            "CACHE_SCHEMA",
+            "MISS",
+            "QUARANTINE_DIR",
+            "ResultCache",
+        ),
+        "repro.exec.context": (
+            "EXEC",
+            "ExecContext",
+            "configure_exec",
+            "default_cache_dir",
+            "execution",
+        ),
+        "repro.exec.faults": ("armed_faults",),
+        "repro.exec.keys": (
+            "canonical_key",
+            "code_epoch",
+            "sampling_key",
+            "stable_hash",
+            "workload_key",
+        ),
+        "repro.exec.pool": ("Task", "run_tasks"),
+        "repro.exec.resilience": (
+            "RetryPolicy",
+            "clear_checkpoint",
+            "read_checkpoint",
+            "write_checkpoint",
+        ),
+    },
 )
-from repro.exec.context import (
-    DEFAULT_CACHE_DIR,
-    EXEC,
-    ExecContext,
-    configure_exec,
-    default_cache_dir,
-    execution,
-)
-from repro.exec.faults import (
-    FAULT_POINTS,
-    FAULTS,
-    FaultPlan,
-    FaultSpec,
-    armed_faults,
-    configure_faults,
-    injected_faults,
-    parse_fault_spec,
-)
-from repro.exec.keys import (
-    canonical_key,
-    code_epoch,
-    sampling_key,
-    stable_hash,
-    try_canonical_key,
-    workload_key,
-)
-from repro.exec.pool import Task, run_tasks
-from repro.exec.tiered import (
-    DEFAULT_HOT_BYTES,
-    HotTier,
-    TieredCache,
-)
-from repro.exec.resilience import (
-    DEFAULT_RETRY,
-    RetryPolicy,
-    clear_checkpoint,
-    read_checkpoint,
-    write_checkpoint,
-)
-
-__all__ = [
-    "CACHE_SCHEMA",
-    "MISS",
-    "QUARANTINE_DIR",
-    "CacheStats",
-    "ResultCache",
-    "DEFAULT_CACHE_DIR",
-    "EXEC",
-    "ExecContext",
-    "configure_exec",
-    "default_cache_dir",
-    "execution",
-    "FAULT_POINTS",
-    "FAULTS",
-    "FaultPlan",
-    "FaultSpec",
-    "armed_faults",
-    "configure_faults",
-    "injected_faults",
-    "parse_fault_spec",
-    "canonical_key",
-    "code_epoch",
-    "sampling_key",
-    "stable_hash",
-    "try_canonical_key",
-    "workload_key",
-    "Task",
-    "run_tasks",
-    "DEFAULT_HOT_BYTES",
-    "HotTier",
-    "TieredCache",
-    "DEFAULT_RETRY",
-    "RetryPolicy",
-    "clear_checkpoint",
-    "read_checkpoint",
-    "write_checkpoint",
-]

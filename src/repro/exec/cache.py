@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import CacheCorruption, ConfigurationError
-from repro.exec.faults import FAULTS
 from repro.exec.keys import canonical_key, stable_hash, try_canonical_key
+from repro.faults import FAULTS
 from repro.obs import OBS
 
 __all__ = [

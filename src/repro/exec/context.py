@@ -111,14 +111,15 @@ def configure_exec(
     the disk cache (``0`` keeps the plain disk cache — the default, so
     one-shot CLI runs don't pay for a tier they never re-read).
     """
-    from repro.exec.cache import ResultCache
-    from repro.exec.tiered import TieredCache
     from repro.obs.spans import TRACER
 
     EXEC.jobs = _validated_jobs(jobs)
     if cache_dir is None:
         EXEC.cache = None
     else:
+        from repro.exec.cache import ResultCache
+        from repro.exec.tiered import TieredCache
+
         hot_bytes = _hot_tier_bytes_from_env()
         if hot_bytes:
             EXEC.cache = TieredCache(cache_dir, hot_bytes=hot_bytes)

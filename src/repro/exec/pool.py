@@ -41,7 +41,7 @@ Failure handling (see docs/robustness.md for the full ladder):
   with a resume hint. Re-running the same command resumes from the cache
   and produces byte-identical output.
 
-Fault hooks (:data:`repro.exec.faults.FAULTS`) fire in ``_invoke`` on the
+Fault hooks (:data:`repro.faults.FAULTS`) fire in ``_invoke`` on the
 worker side and before dispatch on the parent side; all are inert unless
 a plan is configured.
 
@@ -68,7 +68,6 @@ from collections.abc import Callable, Sequence
 
 from repro.errors import RunInterrupted, TaskError, TaskTimeout
 from repro.exec.cache import MISS, ResultCache
-from repro.exec.faults import FAULTS
 from repro.exec.resilience import (
     DEFAULT_RETRY,
     RetryPolicy,
@@ -76,6 +75,7 @@ from repro.exec.resilience import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.faults import FAULTS
 from repro.obs import OBS, TRACER, MetricsRegistry
 
 __all__ = ["Task", "run_tasks"]

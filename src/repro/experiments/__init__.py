@@ -5,7 +5,3 @@ plus a ``render(result)`` that prints the same rows/series as the paper.
 The per-experiment index lives in DESIGN.md; paper-vs-measured numbers in
 EXPERIMENTS.md.
 """
-
-from repro.experiments.runner import ScaledAxis, SweepResult
-
-__all__ = ["ScaledAxis", "SweepResult"]

@@ -298,20 +298,17 @@ def evaluate_grid(
     _require_unique_row_names(workloads)
     plans = _plan_rows(workloads, axis, size_list, full)
 
-    from repro.exec import (
-        EXEC,
-        Task,
-        code_epoch,
-        run_tasks,
-        sampling_key,
-        workload_key,
-    )
+    from repro.exec.context import EXEC
 
     cache = EXEC.cache if cache_key is not None else None
     if EXEC.jobs == 1 and cache is None:
         return size_list, _evaluate_serial(
             workloads, size_list, plans, measure
         )
+    # Imported past the serial return, so a serial, uncached run never
+    # loads the process pool.
+    from repro.exec.keys import code_epoch, sampling_key, workload_key
+    from repro.exec.pool import Task, run_tasks
 
     tasks = []
     for workload, plan in zip(workloads, plans):

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from repro.core.traffic import mean_traffic_ratio
 from repro.experiments.runner import ScaledAxis, SweepResult, sweep_grid
 from repro.experiments.table7 import PAPER_MEAN_RATIO, RatioMeasure
-from repro.scenario import ScenarioSpec, ScenarioWorkload
+from repro.scenario.spec import ScenarioSpec
+from repro.scenario.workload import ScenarioWorkload
 
 #: Decompositions run the slow timing model three times per scenario, so
 #: their reference budget is capped independently of the sweep's.

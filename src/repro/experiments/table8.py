@@ -187,7 +187,7 @@ def run(
     cache_traffic = view("cache traffic (bytes)", 1)
     mtc_traffic = view("MTC traffic (bytes)", 2)
 
-    from repro.exec import sampling_key
+    from repro.exec.keys import sampling_key
 
     return Table8Result(
         sweep=sweep,

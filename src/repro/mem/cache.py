@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.exec.faults import FAULTS
+from repro.faults import FAULTS
 from repro.mem.policies import ReplacementPolicy, make_policy
 from repro.obs import OBS, TRACER
 from repro.trace.model import MemTrace, WORD_BYTES

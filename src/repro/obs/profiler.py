@@ -170,7 +170,7 @@ def profile_experiment(
     runs the experiment's sweeps on a process pool; the result cache stays
     off so every profiled second is simulation, not disk.
     """
-    from repro.exec import execution
+    from repro.exec.context import execution
     from repro.mem import engines
 
     module_path = f"repro.experiments.{name}"

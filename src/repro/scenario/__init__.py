@@ -19,47 +19,19 @@ See docs/scenarios.md for the spec schema and worked examples, and
 ``repro scenario list|run|mix`` for the CLI surface.
 """
 
-from repro.scenario.mixer import (
-    AttributionReport,
-    MixedTrace,
-    TenantUsage,
-    attribute_traffic,
-    mix,
-)
-from repro.scenario.patterns import (
-    PATTERN_KINDS,
-    TracePattern,
-    build_pattern,
-    canonical_pattern,
-    pattern_catalog,
-    pattern_names,
-)
-from repro.scenario.spec import (
-    SCENARIO_DEFAULTS,
-    SCENARIO_SCHEMA,
-    ScenarioSpec,
-    TenantSpec,
-    resolve_spec_argument,
-)
-from repro.scenario.workload import ScenarioWorkload, resolve_workload
+from repro.util import lazy_exports
 
-__all__ = [
-    "AttributionReport",
-    "MixedTrace",
-    "PATTERN_KINDS",
-    "SCENARIO_DEFAULTS",
-    "SCENARIO_SCHEMA",
-    "ScenarioSpec",
-    "ScenarioWorkload",
-    "TenantSpec",
-    "TenantUsage",
-    "TracePattern",
-    "attribute_traffic",
-    "build_pattern",
-    "canonical_pattern",
-    "mix",
-    "pattern_catalog",
-    "pattern_names",
-    "resolve_spec_argument",
-    "resolve_workload",
-]
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.scenario.mixer": ("attribute_traffic", "mix"),
+        "repro.scenario.patterns": (
+            "build_pattern",
+            "canonical_pattern",
+            "pattern_catalog",
+            "pattern_names",
+        ),
+        "repro.scenario.spec": ("SCENARIO_DEFAULTS", "ScenarioSpec"),
+        "repro.scenario.workload": ("ScenarioWorkload", "resolve_workload"),
+    },
+)

@@ -22,7 +22,7 @@ them:
 * :mod:`repro.serve.shard` / :mod:`repro.serve.router` — horizontal
   scale-out: ``--workers N`` forks N servers behind a consistent-hashing
   front router, so coalescing and the in-memory hot tier
-  (:class:`repro.exec.TieredCache`) keep per-shard key locality;
+  (:class:`repro.exec.tiered.TieredCache`) keep per-shard key locality;
 * :mod:`repro.serve.client` — the pure-python client used by the CLI,
   the tests, and ``scripts/load_serve.py``.
 
@@ -35,39 +35,14 @@ docs/serving.md for the endpoint reference, semantics, and the ops
 runbook.
 """
 
-from __future__ import annotations
+from repro.util import lazy_exports
 
-from repro.serve.admission import AdmissionQueue
-from repro.serve.client import ServeClient
-from repro.serve.jobs import JobRecord, JobTable, execute_request
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    job_id,
-    job_material,
-    normalize_request,
-    normalize_simulate,
-    normalize_sweep,
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.client": ("ServeClient",),
+        "repro.serve.router": ("ShardedServer",),
+        "repro.serve.server": ("ServeConfig",),
+        "repro.serve.shard": ("HashRing",),
+    },
 )
-from repro.serve.router import ShardedServer
-from repro.serve.scheduler import Scheduler
-from repro.serve.server import ServeConfig, SimulationServer
-from repro.serve.shard import HashRing
-
-__all__ = [
-    "AdmissionQueue",
-    "HashRing",
-    "JobRecord",
-    "JobTable",
-    "PROTOCOL_VERSION",
-    "Scheduler",
-    "ServeClient",
-    "ServeConfig",
-    "ShardedServer",
-    "SimulationServer",
-    "execute_request",
-    "job_id",
-    "job_material",
-    "normalize_request",
-    "normalize_simulate",
-    "normalize_sweep",
-]

@@ -27,6 +27,17 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+# Everything execute_request runs is imported here, not on a job's first
+# run: the server imports this module before it forks, so the router and
+# every shard it forks or respawns start with the compute path loaded.
+import repro.mem.sampled  # noqa: F401 (auto-engine check in Cache.simulate)
+from repro import cli
+from repro.exec.context import execution
+from repro.mem.engines import use_engine
+from repro.scenario.spec import ScenarioSpec
+from repro.scenario.workload import ScenarioWorkload
+from repro.workloads.registry import get_workload
+
 __all__ = [
     "QUEUED",
     "RUNNING",
@@ -214,17 +225,11 @@ def execute_request(request: dict) -> dict:
     deterministic :class:`~repro.errors.ReproError`, retry the rest)
     applies unchanged.
     """
-    from repro import cli
-
     if request["kind"] == "simulate":
         scenario = request.get("scenario")
         if scenario is not None:
-            from repro.scenario import ScenarioSpec, ScenarioWorkload
-
             workload = ScenarioWorkload(ScenarioSpec.from_dict(scenario))
         else:
-            from repro.workloads.registry import get_workload
-
             workload = get_workload(request["workload"])
         trace = workload.generate(
             seed=request["seed"], max_refs=request["max_refs"]
@@ -237,9 +242,6 @@ def execute_request(request: dict) -> dict:
             request["mtc"],
         )
     else:
-        from repro.exec import execution
-        from repro.mem.engines import use_engine
-
         with execution(), use_engine(request["engine"]):
             output = cli.run_experiment(
                 request["experiment"], request["max_refs"]

@@ -168,7 +168,7 @@ def normalize_simulate(body: object) -> dict:
                 "field 'seed' is not allowed with 'scenario': the spec "
                 "carries its own seed (and the content address covers it)"
             )
-        from repro.scenario import ScenarioSpec
+        from repro.scenario.spec import ScenarioSpec
 
         try:
             spec = ScenarioSpec.from_dict(scenario)

@@ -89,8 +89,8 @@ import time
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.exec.faults import FAULTS
 from repro.exec.resilience import RetryPolicy
+from repro.faults import FAULTS
 from repro.obs import OBS
 from repro.serve.protocol import job_id, job_material, normalize_request
 from repro.serve.server import (

@@ -2,11 +2,11 @@
 
 One asyncio task owns the loop: wait until work is queued, drain up to
 ``max_inflight`` jobs, and hand the batch to
-:func:`repro.exec.run_tasks` on a worker thread (so the event loop keeps
-serving HTTP while simulations run). ``run_tasks`` brings everything the
-execution layer already guarantees — process-pool fan-out across
-``jobs`` workers, content-addressed result caching, the PR-4 retry
-ladder, worker-crash recovery — so the serve layer adds no second
+:func:`repro.exec.pool.run_tasks` on a worker thread (so the event loop
+keeps serving HTTP while simulations run). ``run_tasks`` brings
+everything the execution layer already guarantees — process-pool fan-out
+across ``jobs`` workers, content-addressed result caching, the PR-4
+retry ladder, worker-crash recovery — so the serve layer adds no second
 execution engine, only the queueing in front of one.
 
 Failure containment: ``run_tasks`` raises on a task that exhausted its
@@ -33,6 +33,7 @@ import threading
 import time
 
 from repro.errors import RunInterrupted, TaskError
+from repro.exec import pool
 from repro.obs import OBS, TRACER
 from repro.serve import jobs as jobs_module
 from repro.serve.admission import AdmissionQueue
@@ -132,8 +133,6 @@ class Scheduler:
         return drained_after_stop
 
     async def _run_batch(self, batch: list[JobRecord]) -> None:
-        from repro.exec import Task, run_tasks
-
         batch_start = time.time()
         for record in batch:
             record.state = RUNNING
@@ -156,7 +155,7 @@ class Scheduler:
         self._gauges()
 
         tasks = [
-            Task(
+            pool.Task(
                 fn=jobs_module.execute_request,
                 args=(record.request,),
                 key=record.material if self.cache is not None else None,
@@ -171,7 +170,7 @@ class Scheduler:
             values = await loop.run_in_executor(
                 None,
                 functools.partial(
-                    run_tasks,
+                    pool.run_tasks,
                     tasks,
                     jobs=self.jobs,
                     cache=self.cache,

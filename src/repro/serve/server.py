@@ -66,7 +66,7 @@ from repro.errors import (
     ServeError,
     ServiceUnavailable,
 )
-from repro.exec.faults import FAULTS
+from repro.faults import FAULTS
 from repro.obs import OBS, TRACER
 from repro.serve.admission import AdmissionQueue
 from repro.serve.jobs import DEFAULT_JOB_HISTORY, DONE, JobRecord, JobTable
@@ -413,8 +413,8 @@ class SimulationServer(HttpServer):
         self.queue = AdmissionQueue(config.queue_depth)
         cache = None
         if config.cache_dir is not None:
-            from repro.exec import ResultCache, TieredCache
-            from repro.exec.tiered import DEFAULT_HOT_BYTES
+            from repro.exec.cache import ResultCache
+            from repro.exec.tiered import DEFAULT_HOT_BYTES, TieredCache
 
             hot = (
                 DEFAULT_HOT_BYTES
@@ -633,7 +633,7 @@ class SimulationServer(HttpServer):
         """
         if self.cache is None:
             return False
-        from repro.exec import MISS
+        from repro.exec.cache import MISS
 
         value = self.cache.get(record.material)
         if value is MISS:

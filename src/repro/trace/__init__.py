@@ -4,29 +4,3 @@ This subpackage stands in for the Wisconsin QPT tracing tool used in the
 paper. Traces are sequences of data-memory references (no instruction
 fetches, matching the paper's methodology in Section 4.1).
 """
-
-from repro.trace.model import MemRecord, MemTrace, WORD_BYTES
-from repro.trace.qpt import split_doublewords, read_trace, write_trace
-from repro.trace.mrc import (
-    MissRatioCurve,
-    miss_ratio_curve,
-    predicted_misses,
-    working_set_sizes,
-)
-from repro.trace.stats import TraceStats, compute_stats, reuse_distances
-
-__all__ = [
-    "MemRecord",
-    "MemTrace",
-    "WORD_BYTES",
-    "split_doublewords",
-    "read_trace",
-    "write_trace",
-    "TraceStats",
-    "compute_stats",
-    "reuse_distances",
-    "MissRatioCurve",
-    "miss_ratio_curve",
-    "predicted_misses",
-    "working_set_sizes",
-]

@@ -1,11 +1,13 @@
 """Small shared helpers used across the repro library.
 
 The helpers here are deliberately boring: size parsing/formatting, power-of-
-two checks, and geometric/arithmetic means used by the experiment tables.
+two checks, geometric/arithmetic means used by the experiment tables, and
+the lazy re-exports behind the package ``__init__``s.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from collections.abc import Iterable, Sequence
 
@@ -149,3 +151,21 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
         if index == 0:
             lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines)
+
+
+def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """A PEP 562 module ``__getattr__`` for *package*'s re-exports.
+
+    *exports* maps each module to the names *package* re-exports from
+    it. A name's module is imported the first time the name is looked
+    up, so importing the package imports none of them.
+    """
+    where = {n: module for module, names in exports.items() for n in names}
+
+    def __getattr__(name: str):
+        module = where.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(module), name)
+
+    return __getattr__

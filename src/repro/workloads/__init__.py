@@ -6,43 +6,17 @@ the substitution argument). Use :func:`get_workload` /
 :func:`all_workloads` rather than the classes directly.
 """
 
-from repro.workloads.base import DEFAULT_SCALE, PaperFacts, SyntheticWorkload
-from repro.workloads.compress import Compress
-from repro.workloads.dnasa2 import Dnasa2
-from repro.workloads.eqntott import Eqntott
-from repro.workloads.espresso import Espresso
-from repro.workloads.registry import (
-    all_workloads,
-    get_workload,
-    table3_rows,
-    workload_names,
-)
-from repro.workloads.spec95fp import Applu, Hydro2d, Su2cor95, Swim95
-from repro.workloads.spec95int import Li, Perl, Vortex
-from repro.workloads.su2cor import Su2cor
-from repro.workloads.swm import Swm
-from repro.workloads.tomcatv import Tomcatv
+from repro.util import lazy_exports
 
-__all__ = [
-    "DEFAULT_SCALE",
-    "PaperFacts",
-    "SyntheticWorkload",
-    "Compress",
-    "Dnasa2",
-    "Eqntott",
-    "Espresso",
-    "Su2cor",
-    "Swm",
-    "Tomcatv",
-    "Applu",
-    "Hydro2d",
-    "Li",
-    "Perl",
-    "Su2cor95",
-    "Swim95",
-    "Vortex",
-    "all_workloads",
-    "get_workload",
-    "table3_rows",
-    "workload_names",
-]
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.base": ("DEFAULT_SCALE",),
+        "repro.workloads.registry": (
+            "all_workloads",
+            "get_workload",
+            "table3_rows",
+            "workload_names",
+        ),
+    },
+)

@@ -440,6 +440,34 @@ def test_direct_mapped_family_matches_per_size(trace):
         assert stats_key(family[size]) == stats_key(scalar), size
 
 
+def test_direct_mapped_sorts_cross_the_16_bit_set_index():
+    """The set-index sorts run on the narrowest key type: 2^16 sets fit
+    uint16 (numpy's radix sort), 2^17 need uint32. The family, the
+    per-size vector engine and the scalar loop agree on both sides."""
+    rng = np.random.default_rng(7)
+    words = rng.integers(0, 1 << 21, size=1500)  # blocks up to 2^18
+    trace = MemTrace(rng.choice(words, size=4000) * 4, rng.random(4000) < 0.3)
+    sizes = [(1 << 16) * 32, (1 << 17) * 32]
+    family = engines.direct_mapped_family(trace, sizes, block_bytes=32)
+    for size in sizes:
+        config = CacheConfig(size_bytes=size, block_bytes=32)
+        scalar = stats_key(Cache(config).simulate(trace, engine="scalar"))
+        assert stats_key(family[size]) == scalar, size
+        alone = engines.direct_mapped_family(trace, [size], block_bytes=32)
+        assert stats_key(alone[size]) == scalar, size
+        vector = Cache(config).simulate(trace, engine="vector")
+        assert stats_key(vector) == scalar, size
+
+
+def test_mtc_dense_ids_past_16_bits():
+    """prepare_mtc sorts dense word ids on uint32 past 2^16 words."""
+    trace = distinct_words_trace((1 << 16) + 500, n=70_000)
+    config = MTCConfig(size_bytes=4096)
+    scalar = MinimalTrafficCache(config).simulate(trace, engine="scalar")
+    fast = MinimalTrafficCache(config).simulate(trace, engine="vector")
+    assert stats_key(fast) == stats_key(scalar)
+
+
 @settings(max_examples=25, deadline=None)
 @given(trace=traces())
 def test_fully_associative_family_matches_per_size(trace):
