@@ -7,9 +7,10 @@
     ``tests/test_exec_parallel.py``).
 
 The option configures the process-wide :data:`repro.exec.EXEC` facade
-once per session; without it the facade is never imported and the suite
-behaves exactly as before the execution layer existed. The result cache
-stays off, so tests always exercise real simulation.
+once per session; without it the facade keeps its serial, uncached
+default. The result cache stays off, so tests always exercise real
+simulation, and ``tests/conftest.py`` fails any test that leaves the
+facade changed.
 """
 
 from __future__ import annotations

@@ -1257,8 +1257,10 @@ def _sampling_context(args):
         args, "command", None
     ) == "submit":
         return contextlib.nullcontext()
+    from repro.mem.engines import current_engine
     from repro.mem.sampled import (
         DEFAULT_SAMPLE_RATE,
+        DEFAULT_STRATA,
         SamplingConfig,
         current_sampling,
         use_sampling,
@@ -1266,13 +1268,19 @@ def _sampling_context(args):
 
     base = current_sampling()
     if rate is None:
-        rate = base.rate if base is not None else DEFAULT_SAMPLE_RATE
+        if base is None:
+            # A seed alone configures no rate, so it opts ``auto`` into
+            # nothing; only the sampled engine, at its default rate,
+            # draws a sample for it to seed.
+            if (args.engine or current_engine()) != "sampled":
+                return contextlib.nullcontext()
+            rate = DEFAULT_SAMPLE_RATE
+        else:
+            rate = base.rate
     if seed is None:
         seed = base.seed if base is not None else 0
-    strata = base.strata if base is not None else None
-    if strata is not None:
-        return use_sampling(SamplingConfig(rate, seed=seed, strata=strata))
-    return use_sampling(SamplingConfig(rate, seed=seed))
+    strata = base.strata if base is not None else DEFAULT_STRATA
+    return use_sampling(SamplingConfig(rate, seed=seed, strata=strata))
 
 
 @contextlib.contextmanager

@@ -67,20 +67,6 @@ class ExecContext:
 EXEC = ExecContext()
 
 
-def _hot_tier_bytes_from_env() -> int:
-    """The ``REPRO_HOT_TIER_BYTES`` budget, or 0 for plain disk caching."""
-    raw = os.environ.get("REPRO_HOT_TIER_BYTES", "").strip()
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_HOT_TIER_BYTES must be an integer byte count, got {raw!r}"
-        ) from None
-    return max(0, value)
-
-
 def _validated_jobs(jobs: int) -> int:
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise ConfigurationError(
@@ -94,40 +80,24 @@ def configure_exec(
     jobs: int = 1,
     cache_dir: str | os.PathLike | None = None,
     retry: RetryPolicy | None = None,
-    span_log: str | os.PathLike | None = None,
 ) -> ExecContext:
     """Set the process-wide execution context.
 
     *cache_dir* of ``None`` disables the result cache; pass
-    :func:`default_cache_dir` (or any path) to enable it. *retry* of
-    ``None`` keeps the default policy (bounded retries, no timeout).
-    *span_log* enables request-scoped span tracing
-    (:data:`repro.obs.TRACER`) into the given JSONL path — forked pool
-    workers inherit it, so the execution layer and span layer switch on
-    together at the same entry points.
-
-    Setting ``REPRO_HOT_TIER_BYTES`` in the environment layers a
-    :class:`~repro.exec.tiered.HotTier` of that byte budget in front of
-    the disk cache (``0`` keeps the plain disk cache — the default, so
-    one-shot CLI runs don't pay for a tier they never re-read).
+    :func:`default_cache_dir` (or any path) to enable it. The cache is
+    the plain disk store: a CLI or regenerate run looks each key up at
+    most once, so an in-memory tier in front of it could only miss.
+    *retry* of ``None`` keeps the default policy (bounded retries, no
+    timeout).
     """
-    from repro.obs.spans import TRACER
-
     EXEC.jobs = _validated_jobs(jobs)
     if cache_dir is None:
         EXEC.cache = None
     else:
         from repro.exec.cache import ResultCache
-        from repro.exec.tiered import TieredCache
 
-        hot_bytes = _hot_tier_bytes_from_env()
-        if hot_bytes:
-            EXEC.cache = TieredCache(cache_dir, hot_bytes=hot_bytes)
-        else:
-            EXEC.cache = ResultCache(cache_dir)
+        EXEC.cache = ResultCache(cache_dir)
     EXEC.retry = retry if retry is not None else DEFAULT_RETRY
-    if span_log is not None:
-        TRACER.configure(os.fspath(span_log))
     return EXEC
 
 
@@ -137,18 +107,10 @@ def execution(
     jobs: int = 1,
     cache_dir: str | os.PathLike | None = None,
     retry: RetryPolicy | None = None,
-    span_log: str | os.PathLike | None = None,
 ) -> Iterator[ExecContext]:
     """Temporarily reconfigure :data:`EXEC`, restoring the prior state."""
-    from repro.obs.spans import TRACER
-
     prev = (EXEC.jobs, EXEC.cache, EXEC.retry)
-    tracing_before = TRACER.enabled
     try:
-        yield configure_exec(
-            jobs=jobs, cache_dir=cache_dir, retry=retry, span_log=span_log
-        )
+        yield configure_exec(jobs=jobs, cache_dir=cache_dir, retry=retry)
     finally:
         EXEC.jobs, EXEC.cache, EXEC.retry = prev
-        if span_log is not None and not tracing_before:
-            TRACER.deactivate()

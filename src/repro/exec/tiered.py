@@ -17,7 +17,7 @@ a large, slow one, with placement driven by measured reuse.
     log, so nothing it writes grows with the request count.
 
 :class:`TieredCache`
-    The one get/put facade the exec and serve layers use. ``get`` probes
+    The get/put facade the serve layer's cache uses. ``get`` probes
     the hot tier, falls through to disk on a miss, and promotes disk
     hits; ``put`` writes disk first (durability), then the hot tier.
     It is API-compatible with :class:`ResultCache` (``root``, ``get``,

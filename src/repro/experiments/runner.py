@@ -12,7 +12,7 @@ scaled ones.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, is_dataclass
 from collections.abc import Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError
@@ -119,8 +119,12 @@ def _require_unique_row_names(
     return names
 
 
-#: One planned grid cell: (column index, paper-scale size, simulated size).
-_CellPlan = tuple[int, int, int]
+#: One planned grid cell: (column index, simulated size).
+_CellPlan = tuple[int, int]
+
+#: A sweep measure: called once per row as ``measure(workload,
+#: simulated_sizes)``, it returns one value per size, in order.
+RowMeasure = Callable[[SyntheticWorkload, list[int]], Sequence[object]]
 
 
 def _plan_rows(
@@ -139,220 +143,143 @@ def _plan_rows(
                 paper_size, workload
             ):
                 continue
-            plan.append((column, paper_size, axis.simulated_size(paper_size)))
+            plan.append((column, axis.simulated_size(paper_size)))
         plans.append(plan)
     return plans
 
 
-def _row_values(
-    measure: Callable[[SyntheticWorkload, int], object],
+def _measure_row(
+    measure: RowMeasure,
     workload: SyntheticWorkload,
-    simulated_sizes: Sequence[int],
-) -> list[object]:
-    """One row through a measure's whole-row path, shape-checked."""
-    values = list(measure.measure_row(workload, simulated_sizes))
+    simulated_sizes: list[int],
+) -> dict[str, object]:
+    """Top-level (hence picklable) row task: one workload, all its sizes.
+
+    Returns the row's values and the seconds the measure took (a cached
+    row keeps the seconds of the run that computed it).
+    """
+    start = time.perf_counter()
+    if TRACER.enabled:
+        with TRACER.span(
+            "sweep.row", workload=workload.name, sizes=len(simulated_sizes)
+        ):
+            values = list(measure(workload, simulated_sizes))
+    else:
+        values = list(measure(workload, simulated_sizes))
     if len(values) != len(simulated_sizes):
         raise ConfigurationError(
-            f"measure_row returned {len(values)} values for "
+            f"sweep measure returned {len(values)} values for "
             f"{len(simulated_sizes)} sizes ({workload.name})"
         )
-    return values
+    return {"values": values, "seconds": time.perf_counter() - start}
 
 
-def _measure_row(
-    measure: Callable[[SyntheticWorkload, int], object],
-    workload: SyntheticWorkload,
-    simulated_sizes: Sequence[int],
-) -> dict[str, list]:
-    """Top-level (hence picklable) row task: one workload, all its cells.
-
-    Measures exposing ``measure_row(workload, simulated_sizes)`` (the
-    one-pass multi-size engines of table7/table8) evaluate the whole row
-    in one call; only row-level timing exists then, reported as
-    ``row_seconds`` with per-cell ``seconds`` of ``None``.
-    """
-    if hasattr(measure, "measure_row"):
-        start = time.perf_counter()
-        if TRACER.enabled:
-            with TRACER.span(
-                "sweep.row",
-                workload=workload.name,
-                sizes=len(simulated_sizes),
-            ):
-                values = _row_values(measure, workload, simulated_sizes)
-        else:
-            values = _row_values(measure, workload, simulated_sizes)
-        elapsed = time.perf_counter() - start
-        return {
-            "values": values,
-            "seconds": [None] * len(values),
-            "row_seconds": elapsed,
-        }
-    values: list[object] = []
-    seconds: list[float] = []
-    for simulated in simulated_sizes:
-        start = time.perf_counter()
-        if TRACER.enabled:
-            with TRACER.span(
-                "sweep.cell", workload=workload.name, simulated_size=simulated
-            ) as span:
-                values.append(measure(workload, simulated))
-                span.attrs["value"] = values[-1]
-        else:
-            values.append(measure(workload, simulated))
-        seconds.append(time.perf_counter() - start)
-    return {"values": values, "seconds": seconds, "row_seconds": None}
-
-
-def _evaluate_serial(
+def _run_rows(
+    title: str,
+    measure: RowMeasure,
     workloads: Sequence[SyntheticWorkload],
-    size_list: Sequence[int],
-    plans: Sequence[Sequence[_CellPlan]],
-    measure: Callable[[SyntheticWorkload, int], object],
-) -> list[list[object | None]]:
-    """The classic in-process path (jobs=1, no cache): zero new moving
-    parts, identical instrumentation to the pre-exec-layer runner."""
-    observed = OBS.enabled
-    row_capable = hasattr(measure, "measure_row")
-    rows: list[list[object | None]] = []
-    for workload, plan in zip(workloads, plans):
-        row: list[object | None] = [None] * len(size_list)
-        if row_capable and plan:
-            simulated_sizes = [simulated for _, _, simulated in plan]
-            start = time.perf_counter()
-            if TRACER.enabled:
-                with TRACER.span(
-                    "sweep.row",
-                    workload=workload.name,
-                    sizes=len(simulated_sizes),
-                ):
-                    values = _row_values(measure, workload, simulated_sizes)
-            else:
-                values = _row_values(measure, workload, simulated_sizes)
-            elapsed = time.perf_counter() - start
-            for (column, _, _), value in zip(plan, values):
-                row[column] = value
-            if observed:
-                OBS.count("sweep.cells", len(values))
-                OBS.observe("sweep.row", elapsed)
-            rows.append(row)
-            continue
-        for column, _, simulated in plan:
-            if not (observed or TRACER.enabled):
-                row[column] = measure(workload, simulated)
-                continue
-            start = time.perf_counter()
-            if TRACER.enabled:
-                with TRACER.span(
-                    "sweep.cell",
-                    workload=workload.name,
-                    simulated_size=simulated,
-                ) as span:
-                    value = measure(workload, simulated)
-                    span.attrs["value"] = value
-            else:
-                value = measure(workload, simulated)
-            row[column] = value
-            if observed:
-                OBS.observe("sweep.measure", time.perf_counter() - start)
-                OBS.count("sweep.cells")
-        rows.append(row)
-    return rows
+    row_sizes: Sequence[list[int]],
+    cache,
+) -> list[dict[str, object]]:
+    """The rows as :func:`repro.exec.pool.run_tasks` tasks, keyed for
+    *cache* when it is not None."""
+    # Imported here, so a serial, uncached run never loads the pool.
+    from repro.exec.context import EXEC
+    from repro.exec.keys import code_epoch, sampling_key, workload_key
+    from repro.exec.pool import Task, run_tasks
+
+    if cache is not None:
+        kind = type(measure)
+        shared = {
+            "kind": "sweep-row",
+            "title": title,
+            "epoch": code_epoch(),
+            "measure": {
+                "class": f"{kind.__module__}.{kind.__qualname__}",
+                "fields": asdict(measure),
+            },
+        }
+        # Sampled runs are estimates keyed by (rate, seed, strata);
+        # exact keys carry no sampling entry.
+        sampling = sampling_key()
+        if sampling is not None:
+            shared["sampling"] = sampling
+    tasks = []
+    for workload, sizes in zip(workloads, row_sizes):
+        key = None
+        if cache is not None:
+            key = {**shared, "workload": workload_key(workload), "sizes": sizes}
+        tasks.append(
+            Task(
+                fn=_measure_row,
+                args=(measure, workload, sizes),
+                key=key,
+                label=f"{title}:{workload.name}",
+            )
+        )
+    return run_tasks(tasks, jobs=EXEC.jobs, cache=cache, retry=EXEC.retry)
 
 
 def evaluate_grid(
     title: str,
     workloads: Sequence[SyntheticWorkload],
     axis: ScaledAxis,
-    measure: Callable[[SyntheticWorkload, int], object],
+    measure: RowMeasure,
     *,
     sizes: Iterable[int] | None = None,
     full_rows: set[str] | frozenset[str] | None = None,
-    cache_key: dict | None = None,
 ) -> tuple[list[int], list[list[object | None]]]:
-    """Evaluate *measure(workload, simulated_size)* over the full grid.
+    """Evaluate *measure* over the (workload x cache size) grid.
 
-    Returns ``(size_list, rows)`` where undefined ("<<<") cells are
-    ``None``. Values may be any JSON-stable object (floats, or lists of
-    numbers for multi-component measurements such as Table 8's).
+    *measure* is called once per row that has a defined cell, as
+    ``measure(workload, simulated_sizes)``, and returns one value per
+    size, in order: the one-pass engines (:mod:`repro.mem.engines`)
+    compute a whole row from one pass over its trace. Returns
+    ``(size_list, rows)`` where undefined ("<<<") cells are ``None``.
+    Values may be any JSON-stable object (floats, or lists of numbers
+    for multi-component measurements such as Table 8's).
 
     Execution honours the process-wide :data:`repro.exec.EXEC` context:
     with ``jobs > 1`` rows fan out across worker processes (results are
-    merged in row order, so grids are identical to serial runs), and
-    when a result cache is configured *and* the caller supplies
-    *cache_key* — material pinning everything the measurement depends on
-    beyond (workload, size): seed, reference budget, simulator config —
-    previously computed rows are reused from disk. With the default
-    context (serial, uncached) this is exactly the classic runner.
-
-    A measure may additionally expose ``measure_row(workload,
-    simulated_sizes) -> list`` to evaluate a whole row at once — the
-    one-pass multi-size engines (:mod:`repro.mem.engines`) compute every
-    size of a row from a single pass over the trace. Row measures are
-    bit-identical to per-cell measurement, so grids (and cache keys) do
-    not depend on which path ran; only the timing telemetry differs
-    (``sweep.row`` instead of per-cell ``sweep.measure``).
+    merged in row order, so grids are identical to serial runs). When a
+    result cache is configured and *measure* is a dataclass, previously
+    computed rows are reused from disk; a row's key is the measure's
+    class and fields plus the title, code epoch, workload, sizes and
+    sampling parameters. Any other callable runs uncached. With the
+    default context (serial, uncached) every row runs in this process.
     """
     size_list = list(sizes) if sizes is not None else list(axis.paper_sizes)
-    full = full_rows or set()
     _require_unique_row_names(workloads)
-    plans = _plan_rows(workloads, axis, size_list, full)
+    plans = _plan_rows(workloads, axis, size_list, full_rows or set())
+    # A row with no defined cell is never measured.
+    measured = [index for index, plan in enumerate(plans) if plan]
+    row_sizes = [[simulated for _, simulated in plans[i]] for i in measured]
 
     from repro.exec.context import EXEC
 
-    cache = EXEC.cache if cache_key is not None else None
+    cache = EXEC.cache if is_dataclass(measure) else None
     if EXEC.jobs == 1 and cache is None:
-        return size_list, _evaluate_serial(
-            workloads, size_list, plans, measure
+        outcomes = [
+            _measure_row(measure, workloads[index], simulated_sizes)
+            for index, simulated_sizes in zip(measured, row_sizes)
+        ]
+    else:
+        outcomes = _run_rows(
+            title,
+            measure,
+            [workloads[index] for index in measured],
+            row_sizes,
+            cache,
         )
-    # Imported past the serial return, so a serial, uncached run never
-    # loads the process pool.
-    from repro.exec.keys import code_epoch, sampling_key, workload_key
-    from repro.exec.pool import Task, run_tasks
-
-    tasks = []
-    for workload, plan in zip(workloads, plans):
-        simulated_sizes = [simulated for _, _, simulated in plan]
-        key = None
-        if cache is not None:
-            key = {
-                "kind": "sweep-row",
-                "title": title,
-                "epoch": code_epoch(),
-                "workload": workload_key(workload),
-                "sizes": simulated_sizes,
-                "measure": cache_key,
-            }
-            # Sampled runs are estimates keyed by (rate, seed, strata);
-            # exact keys stay byte-identical to historical entries.
-            sampling = sampling_key()
-            if sampling is not None:
-                key["sampling"] = sampling
-        tasks.append(
-            Task(
-                fn=_measure_row,
-                args=(measure, workload, simulated_sizes),
-                key=key,
-                label=f"{title}:{workload.name}",
-            )
-        )
-    outcomes = run_tasks(tasks, jobs=EXEC.jobs, cache=cache, retry=EXEC.retry)
 
     observed = OBS.enabled
-    rows: list[list[object | None]] = []
-    for workload, plan, outcome in zip(workloads, plans, outcomes):
-        row: list[object | None] = [None] * len(size_list)
-        for (column, _, _), value, seconds in zip(
-            plan, outcome["values"], outcome["seconds"]
-        ):
-            if observed:
-                if seconds is not None:
-                    OBS.observe("sweep.measure", seconds)
-                OBS.count("sweep.cells")
-            row[column] = value
-        if observed and outcome.get("row_seconds") is not None:
-            OBS.observe("sweep.row", outcome["row_seconds"])
-        rows.append(row)
+    rows: list[list[object | None]] = [[None] * len(size_list) for _ in plans]
+    for index, outcome in zip(measured, outcomes):
+        for (column, _), value in zip(plans[index], outcome["values"]):
+            rows[index][column] = value
+        if observed:
+            OBS.count("sweep.cells", len(plans[index]))
+            OBS.observe("sweep.row", outcome["seconds"])
     return size_list, rows
 
 
@@ -360,28 +287,22 @@ def sweep_grid(
     title: str,
     workloads: Sequence[SyntheticWorkload],
     axis: ScaledAxis,
-    measure: Callable[[SyntheticWorkload, int], float],
+    measure: RowMeasure,
     *,
     sizes: Iterable[int] | None = None,
     full_rows: set[str] | frozenset[str] | None = None,
-    cache_key: dict | None = None,
 ) -> SweepResult:
-    """Evaluate *measure(workload, simulated_size)* over the full grid.
+    """Evaluate *measure* over the grid as a :class:`SweepResult`.
 
     Cells where the cache exceeds the (scaled) data set are recorded as
-    ``None`` — the paper's "<<<" — and the measurement is skipped.
-    Workloads named in *full_rows* are measured at every size regardless
-    (the paper itself makes this exception for Swm in Table 8). See
-    :func:`evaluate_grid` for parallel/cached execution semantics.
+    ``None`` — the paper's "<<<" — and are not measured. Workloads named
+    in *full_rows* are measured at every size regardless (the paper
+    itself makes this exception for Swm in Table 8). See
+    :func:`evaluate_grid` for the measure protocol and for parallel and
+    cached execution.
     """
     size_list, rows = evaluate_grid(
-        title,
-        workloads,
-        axis,
-        measure,
-        sizes=sizes,
-        full_rows=full_rows,
-        cache_key=cache_key,
+        title, workloads, axis, measure, sizes=sizes, full_rows=full_rows
     )
     return SweepResult(
         title=title,

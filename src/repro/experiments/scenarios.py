@@ -109,12 +109,6 @@ def run(*, max_refs: int | None = None, seed: int = 0) -> ScenariosResult:
         workloads,
         axis,
         measure,
-        cache_key={
-            "experiment": "scenarios",
-            "seed": seed,
-            "max_refs": max_refs,
-            "block_bytes": 32,
-        },
     )
 
     # The paper's ">=64KB caches below the data set" mean. Scenarios run

@@ -53,68 +53,40 @@ def measure_traffic_ratio(
     return cache.simulate(trace).traffic_ratio
 
 
+@dataclass(frozen=True, slots=True)
 class RatioMeasure:
-    """Picklable cell measurement: regenerate the trace where needed.
+    """Table 7's row measure: R at every simulated size of one benchmark.
 
-    Instances memoize one trace per workload *per process*, so a worker
-    handling a whole row generates its benchmark's trace exactly once —
-    the same total work as the old precomputed-traces closure, but
-    shippable to a process pool (the memo is dropped from the pickled
-    state; traces regenerate deterministically from ``(scale, seed)``).
+    A frozen dataclass, so it pickles to pool workers and its fields key
+    the row in the result cache. Each call generates the benchmark's
+    trace once; the trace is dropped when the row returns.
     """
 
-    def __init__(
-        self, *, seed: int, max_refs: int | None, block_bytes: int = 32
-    ) -> None:
-        self.seed = seed
-        self.max_refs = max_refs
-        self.block_bytes = block_bytes
-        self._traces: dict[str, MemTrace] = {}
-
-    def __getstate__(self) -> dict:
-        return {
-            "seed": self.seed,
-            "max_refs": self.max_refs,
-            "block_bytes": self.block_bytes,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._traces = {}
-
-    def trace_for(self, workload: SyntheticWorkload) -> MemTrace:
-        trace = self._traces.get(workload.name)
-        if trace is None:
-            trace = workload.generate(seed=self.seed, max_refs=self.max_refs)
-            self._traces[workload.name] = trace
-        return trace
+    seed: int
+    max_refs: int | None
+    block_bytes: int = 32
 
     def __call__(
-        self, workload: SyntheticWorkload, simulated_size: int
-    ) -> float:
-        return measure_traffic_ratio(
-            self.trace_for(workload),
-            simulated_size,
-            block_bytes=self.block_bytes,
-        )
-
-    def measure_row(
         self, workload: SyntheticWorkload, simulated_sizes: list[int]
     ) -> list[float]:
         """All of one benchmark's sizes from a single one-pass sweep.
 
-        Bit-identical to calling the per-cell path once per size (the
-        differential suite pins this), so cached grids and rendered
-        tables never depend on which path ran.
+        ``--engine scalar`` runs each size through the reference loop
+        instead; the differential suite pins the two as bit-identical,
+        so cached grids and rendered tables never depend on the engine.
         """
         from repro.mem import engines
 
+        trace = workload.generate(seed=self.seed, max_refs=self.max_refs)
         if engines.resolve_engine() == "scalar":
-            return [self(workload, size) for size in simulated_sizes]
+            return [
+                measure_traffic_ratio(
+                    trace, size, block_bytes=self.block_bytes
+                )
+                for size in simulated_sizes
+            ]
         family = engines.direct_mapped_family(
-            self.trace_for(workload),
-            list(simulated_sizes),
-            block_bytes=self.block_bytes,
+            trace, list(simulated_sizes), block_bytes=self.block_bytes
         )
         return [family[size].traffic_ratio for size in simulated_sizes]
 
@@ -132,18 +104,7 @@ def run(
         workloads = all_workloads("SPEC92", scale=scale)
     measure = RatioMeasure(seed=seed, max_refs=max_refs)
 
-    sweep = sweep_grid(
-        "Table 7: traffic ratios",
-        workloads,
-        axis,
-        measure,
-        cache_key={
-            "experiment": "table7",
-            "seed": seed,
-            "max_refs": max_refs,
-            "block_bytes": 32,
-        },
-    )
+    sweep = sweep_grid("Table 7: traffic ratios", workloads, axis, measure)
 
     # Mean over >=64KB (paper scale) caches smaller than the data set.
     # Both operands are at paper scale: the column sizes label the paper's

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.traffic import measure_inefficiency
 from repro.experiments.runner import ScaledAxis, SweepResult, evaluate_grid
-from repro.mem.cache import Cache, CacheConfig
 from repro.mem.mtc import MinimalTrafficCache, MTCConfig
-from repro.trace.model import MemTrace
 from repro.workloads.base import DEFAULT_SCALE, SyntheticWorkload
 from repro.workloads.registry import all_workloads
 
@@ -47,69 +46,46 @@ class Table8Result:
     estimated: bool = False
 
 
-def measure_inefficiency_cell(
-    trace: MemTrace, size_bytes: int
-) -> tuple[float, int, int]:
-    """(G, cache traffic, MTC traffic) for one benchmark/size cell."""
-    cache = Cache(CacheConfig(size_bytes=size_bytes, block_bytes=32))
-    cache_traffic = cache.simulate(trace).total_traffic_bytes
-    mtc = MinimalTrafficCache(MTCConfig(size_bytes=size_bytes))
-    mtc_traffic = mtc.simulate(trace).total_traffic_bytes
-    return cache_traffic / mtc_traffic, cache_traffic, mtc_traffic
-
-
+@dataclass(frozen=True, slots=True)
 class InefficiencyMeasure:
-    """Picklable cell measurement returning ``[G, cache, MTC]`` triples.
+    """Table 8's row measure: ``[G, cache, MTC]`` at every simulated size.
 
     The triple is a JSON-stable list so one simulated grid can flow
     through the result cache and still back all three of
-    :class:`Table8Result`'s views. Traces memoize per workload per
-    process and regenerate deterministically after pickling (the memo is
-    excluded from the pickled state).
+    :class:`Table8Result`'s views. A frozen dataclass, so it pickles to
+    pool workers and its fields key the row in the result cache; each
+    call generates the benchmark's trace once and drops it on return.
     """
 
-    def __init__(self, *, seed: int, max_refs: int | None) -> None:
-        self.seed = seed
-        self.max_refs = max_refs
-        self._traces: dict[str, MemTrace] = {}
-
-    def __getstate__(self) -> dict:
-        return {"seed": self.seed, "max_refs": self.max_refs}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._traces = {}
-
-    def trace_for(self, workload: SyntheticWorkload) -> MemTrace:
-        trace = self._traces.get(workload.name)
-        if trace is None:
-            trace = workload.generate(seed=self.seed, max_refs=self.max_refs)
-            self._traces[workload.name] = trace
-        return trace
+    seed: int
+    max_refs: int | None
 
     def __call__(
-        self, workload: SyntheticWorkload, simulated_size: int
-    ) -> list[float]:
-        g, cache_traffic, mtc_traffic = measure_inefficiency_cell(
-            self.trace_for(workload), simulated_size
-        )
-        return [g, cache_traffic, mtc_traffic]
-
-    def measure_row(
         self, workload: SyntheticWorkload, simulated_sizes: list[int]
     ) -> list[list[float]]:
         """One benchmark's whole row: a one-pass direct-mapped family for
         the numerators plus one shared MTC pass-1 across all sizes.
 
-        Bit-identical to the per-cell path (the differential suite pins
-        both engines), so cached grids never depend on which path ran.
+        ``--engine scalar`` runs each size through the reference loops
+        instead; the differential suite pins both engines, so cached
+        grids never depend on which path ran.
         """
         from repro.mem import engines
 
+        trace = workload.generate(seed=self.seed, max_refs=self.max_refs)
         selection = engines.resolve_engine()
         if selection == "scalar":
-            return [self(workload, size) for size in simulated_sizes]
-        trace = self.trace_for(workload)
+            compared = [
+                measure_inefficiency(trace, size) for size in simulated_sizes
+            ]
+            return [
+                [
+                    each.g,
+                    each.cache_stats.total_traffic_bytes,
+                    each.mtc_stats.total_traffic_bytes,
+                ]
+                for each in compared
+            ]
         sizes = list(simulated_sizes)
         family = engines.direct_mapped_family(trace, sizes, block_bytes=32)
         # The sampled MTC prepares its own (much smaller) sub-trace
@@ -155,7 +131,6 @@ def run(
         axis,
         measure,
         full_rows={"Swm"},
-        cache_key={"experiment": "table8", "seed": seed, "max_refs": max_refs},
     )
 
     def view(

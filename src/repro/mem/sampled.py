@@ -167,12 +167,25 @@ def _env_sampling() -> SamplingConfig | None:
         raise ConfigurationError(
             f"REPRO_SAMPLE_RATE is not a number: {raw!r}"
         ) from exc
-    return SamplingConfig(
-        rate=rate, seed=int(os.environ.get("REPRO_SAMPLE_SEED", "0"))
-    )
+    raw_seed = os.environ.get("REPRO_SAMPLE_SEED", "0")
+    try:
+        seed = int(raw_seed)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"REPRO_SAMPLE_SEED is not an integer: {raw_seed!r}"
+        ) from exc
+    return SamplingConfig(rate=rate, seed=seed)
 
 
-_sampling: SamplingConfig | None = _env_sampling()
+#: Marks the process-wide parameters as not yet read from the
+#: environment (``None`` is a read, unconfigured state).
+_UNREAD = object()
+
+#: The process-wide parameters; ``_UNREAD`` until first resolved, when
+#: ``$REPRO_SAMPLE_RATE``/``$REPRO_SAMPLE_SEED`` are read and validated.
+#: Importing this module never fails on a bad value: only a run that
+#: resolves sampling does.
+_sampling: SamplingConfig | None | object = _UNREAD
 
 
 def configure_sampling(config: SamplingConfig | None) -> None:
@@ -183,12 +196,16 @@ def configure_sampling(config: SamplingConfig | None) -> None:
 
 def current_sampling() -> SamplingConfig | None:
     """The process-wide sampling parameters, or None when unconfigured."""
+    global _sampling
+    if _sampling is _UNREAD:
+        _sampling = _env_sampling()
     return _sampling
 
 
 @contextmanager
 def use_sampling(config: SamplingConfig | None):
     """Temporarily install sampling parameters; ``None`` is a no-op."""
+    global _sampling
     if config is None:
         yield
         return
@@ -197,7 +214,7 @@ def use_sampling(config: SamplingConfig | None):
     try:
         yield
     finally:
-        configure_sampling(previous)
+        _sampling = previous
 
 
 def sampling_for(selection: str, references: int) -> SamplingConfig | None:
@@ -207,11 +224,12 @@ def sampling_for(selection: str, references: int) -> SamplingConfig | None:
     ``auto`` samples only when a rate was explicitly configured *and*
     the trace is large enough that exact simulation is the bottleneck.
     """
+    configured = current_sampling()
     if selection == "sampled":
-        return _sampling or SamplingConfig(DEFAULT_SAMPLE_RATE)
-    if selection == "auto" and _sampling is not None:
+        return configured or SamplingConfig(DEFAULT_SAMPLE_RATE)
+    if selection == "auto" and configured is not None:
         if references >= AUTO_SAMPLED_MIN_REFS:
-            return _sampling
+            return configured
     return None
 
 
@@ -489,7 +507,7 @@ def simulate_cache_sampled(
             f"no sampled engine for {config.describe()}: {reason}"
         )
     if sampling is None:
-        sampling = _sampling or SamplingConfig(DEFAULT_SAMPLE_RATE)
+        sampling = current_sampling() or SamplingConfig(DEFAULT_SAMPLE_RATE)
 
     def miniature(sub: MemTrace, capacity: int) -> CacheStats:
         curve = traffic_curve(sub, block_bytes=config.block_bytes)
@@ -542,7 +560,7 @@ def simulate_mtc_sampled(
             f"no sampled engine for {config.describe()}: {reason}"
         )
     if sampling is None:
-        sampling = _sampling or SamplingConfig(DEFAULT_SAMPLE_RATE)
+        sampling = current_sampling() or SamplingConfig(DEFAULT_SAMPLE_RATE)
 
     def miniature(sub: MemTrace, capacity: int) -> CacheStats:
         shim = _ScaledMTC(

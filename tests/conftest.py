@@ -8,6 +8,29 @@ import pytest
 from repro.trace.model import MemTrace
 
 
+@pytest.fixture(autouse=True)
+def exec_context_restored():
+    """Fail any test that leaves the process-wide execution context changed.
+
+    :data:`repro.exec.context.EXEC` outlives the test that sets it: a
+    ``configure_exec`` that is never undone runs every later test of the
+    session with that worker count, result cache and retry policy. Tests
+    reconfigure it through :func:`repro.exec.context.execution`, which
+    restores it on exit.
+    """
+    from repro.exec.context import EXEC
+
+    found = (EXEC.jobs, EXEC.cache, EXEC.retry)
+    yield
+    left = (EXEC.jobs, EXEC.cache, EXEC.retry)
+    if left != found:
+        pytest.fail(
+            f"the test changed EXEC (jobs, cache, retry) from {found} "
+            f"to {left}; use repro.exec.context.execution(...)",
+            pytrace=False,
+        )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -418,6 +418,28 @@ class TestResilienceFlags:
         assert stats["quarantined"] == 1
 
 
+class TestSamplingFlags:
+    def test_a_seed_alone_keeps_auto_exact(self, tmp_path, capsys):
+        argv = (
+            "experiment", "table7", "--max-refs", "2000",
+            "--cache-dir", str(tmp_path / "cc"),
+        )
+        exact = run_cli(*argv)
+        assert "cache: 0 hits, 7 misses" in capsys.readouterr().err
+        seeded = run_cli(*argv, "--sample-seed", "3")
+        assert "cache: 7 hits, 0 misses" in capsys.readouterr().err
+        assert seeded == exact
+
+    def test_a_seed_alone_seeds_the_sampled_engine(self):
+        out = run_cli(
+            "simulate", "espresso", "--size", "64KB", "--assoc", "2048",
+            "--max-refs", "20000", "--engine", "sampled",
+            "--sample-seed", "3",
+        )
+        assert "sampled estimate: rate " in out
+        assert ", seed 3, " in out
+
+
 class TestCacheStatsJson:
     def test_json_and_human_modes_agree(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cc")

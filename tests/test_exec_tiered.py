@@ -239,28 +239,3 @@ class TestTieredCache:
     def test_default_budget_is_default_hot_bytes(self, tmp_path):
         assert TieredCache(tmp_path).hot.budget_bytes == DEFAULT_HOT_BYTES
 
-
-class TestEnvConfiguration:
-    def test_env_var_selects_tiered_cache(self, tmp_path, monkeypatch):
-        from repro.exec.context import configure_exec
-
-        monkeypatch.setenv("REPRO_HOT_TIER_BYTES", "4096")
-        context = configure_exec(cache_dir=str(tmp_path))
-        assert isinstance(context.cache, TieredCache)
-        assert context.cache.hot.budget_bytes == 4096
-
-    def test_env_var_zero_disables_the_hot_tier(self, tmp_path, monkeypatch):
-        from repro.exec.context import configure_exec
-
-        monkeypatch.setenv("REPRO_HOT_TIER_BYTES", "0")
-        context = configure_exec(cache_dir=str(tmp_path))
-        assert isinstance(context.cache, ResultCache)
-
-    def test_env_var_garbage_is_a_configuration_error(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.exec.context import configure_exec
-
-        monkeypatch.setenv("REPRO_HOT_TIER_BYTES", "lots")
-        with pytest.raises(ConfigurationError, match="REPRO_HOT_TIER_BYTES"):
-            configure_exec(cache_dir=str(tmp_path))

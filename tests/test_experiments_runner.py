@@ -1,8 +1,14 @@
 """Tests for the experiment machinery (scaled axis, sweeps, reports)."""
 
+import json
+import weakref
+from dataclasses import dataclass
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.exec.context import execution
+from repro.experiments import table7, table8
 from repro.experiments.report import render_series, render_sweep
 from repro.experiments.runner import (
     PAPER_CACHE_SIZES,
@@ -10,7 +16,11 @@ from repro.experiments.runner import (
     SweepResult,
     sweep_grid,
 )
+from repro.experiments.table7 import RatioMeasure
+from repro.mem.engines import use_engine
+from repro.trace.model import MemTrace
 from repro.workloads import get_workload
+from repro.workloads.base import SyntheticWorkload
 
 
 class TestScaledAxis:
@@ -55,7 +65,7 @@ class TestSweepGrid:
             "test",
             workloads,
             axis,
-            lambda w, size: float(size),
+            lambda w, sizes: [float(size) for size in sizes],
             **kwargs,
         )
 
@@ -97,8 +107,131 @@ class TestSweepGrid:
         ]
         with pytest.raises(ConfigurationError, match="duplicate"):
             sweep_grid(
-                "test", workloads, axis, lambda w, size: 1.0, sizes=[1024]
+                "test",
+                workloads,
+                axis,
+                lambda w, sizes: [1.0] * len(sizes),
+                sizes=[1024],
             )
+
+
+@dataclass(frozen=True)
+class LoggedMeasure:
+    """A picklable row measure: each value is its size, and each call
+    appends ``[workload, sizes]`` to the file at *log*."""
+
+    log: str
+
+    def __call__(self, workload, simulated_sizes):
+        with open(self.log, "a") as handle:
+            handle.write(json.dumps([workload.name, simulated_sizes]) + "\n")
+        return [float(size) for size in simulated_sizes]
+
+
+#: At scale 1/4 Espresso's data set is below both sizes (an empty row),
+#: Compress's below the larger one, and Tomcatv's above both.
+ROWS = ("Espresso", "Compress", "Tomcatv")
+SIZES = [64 * 1024, 1024 * 1024]
+
+
+def small_grid(measure, sizes=SIZES):
+    return sweep_grid(
+        "test",
+        [get_workload(name, scale=0.25) for name in ROWS],
+        ScaledAxis(scale=0.25),
+        measure,
+        sizes=sizes,
+    )
+
+
+def logged_calls(log) -> list:
+    return [json.loads(line) for line in log.read_text().splitlines()]
+
+
+class TestRowMeasure:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_called_once_per_row_with_its_sizes(self, tmp_path, jobs):
+        log = tmp_path / "calls.jsonl"
+        with execution(jobs=jobs):
+            grid = small_grid(LoggedMeasure(str(log)))
+        # The empty Espresso row is never measured.
+        assert sorted(logged_calls(log)) == [
+            ["Compress", [16384]],
+            ["Tomcatv", [16384, 262144]],
+        ]
+        assert grid.row("Espresso") == [None, None]
+        assert grid.row("Compress") == [16384, None]
+        assert grid.row("Tomcatv") == [16384, 262144]
+
+    def test_a_row_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="1 values for 2 sizes"):
+            small_grid(lambda workload, sizes: [0.0])
+
+    @pytest.mark.parametrize("module", [table7, table8])
+    def test_each_trace_is_generated_once_and_freed_with_its_row(
+        self, monkeypatch, module
+    ):
+        class Tracked(MemTrace):
+            """A trace a weak reference can watch."""
+
+        generate = SyntheticWorkload.generate
+        generated: list[tuple[str, weakref.ref]] = []
+
+        def tracked_generate(workload, **kwargs):
+            # Every earlier row has returned, so its trace must be gone.
+            assert [ref() for _, ref in generated] == [None] * len(generated)
+            trace = generate(workload, **kwargs)
+            tracked = Tracked(trace.addresses, trace.is_write, trace.name)
+            generated.append((workload.name, weakref.ref(tracked)))
+            return tracked
+
+        monkeypatch.setattr(SyntheticWorkload, "generate", tracked_generate)
+        for engine in ("auto", "scalar"):
+            generated.clear()
+            with execution(jobs=1), use_engine(engine):
+                module.run(max_refs=2000)
+            names = [name for name, _ in generated]
+            assert sorted(names) == sorted(table7.PAPER_TABLE7)
+
+
+class TestRowCache:
+    def test_a_repeated_sweep_hits_every_row(self, tmp_path):
+        log = tmp_path / "calls.jsonl"
+        with execution(cache_dir=tmp_path / "cache") as context:
+            cold = small_grid(LoggedMeasure(str(log)))
+            warm = small_grid(LoggedMeasure(str(log)))
+            counts = (context.cache.hits, context.cache.misses)
+        assert counts == (2, 2)
+        assert warm.cells == cold.cells
+        assert len(logged_calls(log)) == 2  # the warm sweep measured nothing
+
+    def test_a_measure_differing_in_one_field_misses_every_row(
+        self, tmp_path
+    ):
+        narrow = RatioMeasure(seed=0, max_refs=2000)
+        wide = RatioMeasure(seed=0, max_refs=2000, block_bytes=64)
+        with execution(cache_dir=tmp_path / "cache") as context:
+            narrow_grid = small_grid(narrow, sizes=[1024, 4096])
+            first = (context.cache.hits, context.cache.misses)
+            wide_grid = small_grid(wide, sizes=[1024, 4096])
+            second = (context.cache.hits, context.cache.misses)
+        assert first == (0, 3)
+        assert second == (0, 6)
+        assert wide_grid.cells != narrow_grid.cells
+
+    def test_a_lambda_measure_writes_no_entry(self, tmp_path):
+        with execution(cache_dir=tmp_path / "cache") as context:
+            grid = small_grid(
+                lambda workload, sizes: [float(size) for size in sizes]
+            )
+            counts = (
+                context.cache.hits,
+                context.cache.misses,
+                context.cache.stores,
+                context.cache.stats().entries,
+            )
+        assert counts == (0, 0, 0, 0)
+        assert grid.row("Tomcatv") == [16384.0, 262144.0]
 
 
 class TestRendering:

@@ -185,3 +185,39 @@ class TestEngineEnvironment:
             "choose from auto|scalar|vector|sampled\n"
         )
         assert result.stdout == ""
+
+
+class TestSamplingEnvironment:
+    """``$REPRO_SAMPLE_RATE``/``$REPRO_SAMPLE_SEED`` are read when a run
+    first resolves sampling: a bad value fails that run with a one-line
+    error, and nothing else."""
+
+    SIMULATE = ("simulate", "Espresso", "--size", "4KB", "--max-refs", "2000")
+
+    def run_cli(self, *argv: str, **env: str) -> subprocess.CompletedProcess:
+        return run_python(
+            "import sys\nfrom repro.cli import main\n"
+            f"sys.exit(main({list(argv)!r}))",
+            **env,
+        )
+
+    def test_list_succeeds_under_a_bad_rate(self):
+        result = self.run_cli("list", REPRO_SAMPLE_RATE="bogus")
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_a_bad_seed_fails_simulate_with_one_line(self):
+        result = self.run_cli(
+            *self.SIMULATE, REPRO_SAMPLE_RATE="0.1", REPRO_SAMPLE_SEED="x"
+        )
+        assert result.returncode == 1
+        assert result.stderr == (
+            "error: REPRO_SAMPLE_SEED is not an integer: 'x'\n"
+        )
+
+    def test_a_scalar_run_never_reads_sampling(self):
+        result = self.run_cli(
+            *self.SIMULATE, "--engine", "scalar",
+            REPRO_SAMPLE_RATE="0.1", REPRO_SAMPLE_SEED="x",
+        )
+        assert result.returncode == 0, result.stderr
