@@ -1259,28 +1259,27 @@ def _sampling_context(args):
         return contextlib.nullcontext()
     from repro.mem.engines import current_engine
     from repro.mem.sampled import (
-        DEFAULT_SAMPLE_RATE,
-        DEFAULT_STRATA,
         SamplingConfig,
         current_sampling,
+        default_sampling,
         use_sampling,
     )
 
     base = current_sampling()
-    if rate is None:
-        if base is None:
-            # A seed alone configures no rate, so it opts ``auto`` into
-            # nothing; only the sampled engine, at its default rate,
-            # draws a sample for it to seed.
-            if (args.engine or current_engine()) != "sampled":
-                return contextlib.nullcontext()
-            rate = DEFAULT_SAMPLE_RATE
-        else:
-            rate = base.rate
-    if seed is None:
-        seed = base.seed if base is not None else 0
-    strata = base.strata if base is not None else DEFAULT_STRATA
-    return use_sampling(SamplingConfig(rate, seed=seed, strata=strata))
+    if base is None:
+        # A seed alone configures no rate, so it opts ``auto`` into
+        # nothing; only the sampled engine, at its default rate, draws
+        # a sample for it to seed.
+        if rate is None and (args.engine or current_engine()) != "sampled":
+            return contextlib.nullcontext()
+        base = default_sampling(seed)
+    return use_sampling(
+        SamplingConfig(
+            base.rate if rate is None else rate,
+            seed=base.seed if seed is None else seed,
+            strata=base.strata,
+        )
+    )
 
 
 @contextlib.contextmanager

@@ -6,8 +6,9 @@ the global branch history register is XOR-folded with the branch PC to
 index a table of two-bit saturating counters [Yeh & Patt / McFarling].
 
 A branch's outcome depends only on the branches before it, never on
-timing, so a timing core trains its predictor over a run's branches in
-one pass (:meth:`TwoLevelPredictor.train`) before its cycle loop starts.
+timing, so a trace's branches train a predictor in one pass
+(:meth:`TwoLevelPredictor.train`) when the trace is decoded, before any
+timing run, and every run of that trace reuses the outcomes.
 """
 
 from __future__ import annotations

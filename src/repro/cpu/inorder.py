@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cpu.branch import TwoLevelPredictor
-from repro.cpu.isa import OP_LATENCY, REGISTER_SLOTS, InstructionTrace, OpClass
+from repro.cpu.isa import OP_LATENCY, REGISTER_SLOTS, DecodedTrace, OpClass
 from repro.errors import ConfigurationError
 from repro.mem.timing import TimingMemory
 from repro.obs import OBS
@@ -42,7 +41,6 @@ class InOrderCore:
     def __init__(
         self,
         memory: TimingMemory,
-        predictor: TwoLevelPredictor,
         *,
         issue_width: int = 4,
         mem_ports: int = 2,
@@ -50,11 +48,11 @@ class InOrderCore:
         if issue_width <= 0 or mem_ports <= 0:
             raise ConfigurationError("issue width and memory ports must be positive")
         self.memory = memory
-        self.predictor = predictor
         self.issue_width = issue_width
         self.mem_ports = mem_ports
 
-    def run(self, trace: InstructionTrace) -> CoreResult:
+    def run(self, decoded: DecodedTrace) -> CoreResult:
+        """Time one run of *decoded* (:meth:`InstructionTrace.decode`)."""
         access = self.memory.access
         issue_width = self.issue_width
         mem_ports = self.mem_ports
@@ -62,7 +60,6 @@ class InOrderCore:
         load_op = OpClass.LOAD.value
         store_op = OpClass.STORE.value
         branch_op = OpClass.BRANCH.value
-        decoded = trace.decode(self.predictor)
 
         reg_ready = [0] * REGISTER_SLOTS
         fetch_available = 0     # earliest fetch cycle for the next instr

@@ -3,7 +3,9 @@
 For one experiment configuration and one instruction trace, the machine
 runs the identical trace three times — perfect memory, infinite-width
 paths, full system — and produces the paper's (T_P, T_I, T) triple as an
-:class:`~repro.core.decomposition.ExecutionDecomposition`.
+:class:`~repro.core.decomposition.ExecutionDecomposition`. A branch's
+outcome never depends on timing, so the three runs share one decode of
+the trace and one predictor pass.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from repro.core.decomposition import ExecutionDecomposition, decompose
 from repro.cpu.branch import TwoLevelPredictor
 from repro.cpu.configs import ExperimentConfig
 from repro.cpu.inorder import CoreResult, InOrderCore
-from repro.cpu.isa import InstructionTrace
+from repro.cpu.isa import DecodedTrace, InstructionTrace
 from repro.cpu.itrace import instruction_trace_for_workload
 from repro.cpu.ooo import OutOfOrderCore
 from repro.mem.timing import (
@@ -59,14 +61,14 @@ class Machine:
             memory_params = config.timing_memory_params(scale)
         self.memory_params = memory_params
 
-    def _run_mode(self, trace: InstructionTrace, mode: MemoryMode) -> tuple[CoreResult, TimingMemoryStats]:
+    def _run_mode(
+        self, decoded: DecodedTrace, mode: MemoryMode
+    ) -> tuple[CoreResult, TimingMemoryStats]:
         memory = TimingMemory(self.memory_params, mode)
-        predictor = TwoLevelPredictor(self.config.processor.branch_table_entries)
         processor = self.config.processor
         if processor.out_of_order:
             core = OutOfOrderCore(
                 memory,
-                predictor,
                 ruu_size=processor.ruu_slots,
                 lsq_size=processor.lsq_entries,
                 issue_width=processor.issue_width,
@@ -75,22 +77,24 @@ class Machine:
         else:
             core = InOrderCore(
                 memory,
-                predictor,
                 issue_width=processor.issue_width,
                 mem_ports=processor.mem_ports,
             )
         if not OBS.enabled:
-            return core.run(trace), memory.stats
+            return core.run(decoded), memory.stats
         start = time.perf_counter()
-        result = core.run(trace)
+        result = core.run(decoded)
         OBS.observe(f"machine.mode.{mode.value}", time.perf_counter() - start)
         return result, memory.stats
 
     def run(self, trace: InstructionTrace) -> MachineResult:
         """Run the three-simulation decomposition protocol on *trace*."""
-        perfect, _ = self._run_mode(trace, MemoryMode.PERFECT)
-        infinite, _ = self._run_mode(trace, MemoryMode.INFINITE)
-        full, full_stats = self._run_mode(trace, MemoryMode.FULL)
+        decoded = trace.decode(
+            TwoLevelPredictor(self.config.processor.branch_table_entries)
+        )
+        perfect, _ = self._run_mode(decoded, MemoryMode.PERFECT)
+        infinite, _ = self._run_mode(decoded, MemoryMode.INFINITE)
+        full, full_stats = self._run_mode(decoded, MemoryMode.FULL)
         label = f"{trace.name}/{self.config.name}"
         return MachineResult(
             decomposition=decompose(

@@ -45,7 +45,7 @@ class _SharedL2Memory(TimingMemory):
 
     def core_l1(self) -> list[dict[int, bool]]:
         """Fresh, empty L1 state for one core."""
-        return [{} for _ in range(len(self._l1))]
+        return [{} for _ in range(self._l1_sets)]
 
     def core_access(
         self, l1: list[dict[int, bool]], time: int, address: int, is_write: bool

@@ -16,9 +16,8 @@ arrays indexed by cycle. Retirement uses the recurrence
 
 from __future__ import annotations
 
-from repro.cpu.branch import TwoLevelPredictor
 from repro.cpu.inorder import MISPREDICT_PENALTY, CoreResult
-from repro.cpu.isa import OP_LATENCY, REGISTER_SLOTS, InstructionTrace, OpClass
+from repro.cpu.isa import OP_LATENCY, REGISTER_SLOTS, DecodedTrace, OpClass
 from repro.errors import ConfigurationError
 from repro.mem.timing import TimingMemory
 from repro.obs import OBS
@@ -30,7 +29,6 @@ class OutOfOrderCore:
     def __init__(
         self,
         memory: TimingMemory,
-        predictor: TwoLevelPredictor,
         *,
         ruu_size: int = 16,
         lsq_size: int = 8,
@@ -47,7 +45,6 @@ class OutOfOrderCore:
             # A cycle's issue count is kept in one byte.
             raise ConfigurationError("issue width cannot exceed 255")
         self.memory = memory
-        self.predictor = predictor
         self.ruu_size = ruu_size
         self.lsq_size = lsq_size
         self.issue_width = issue_width
@@ -59,7 +56,8 @@ class OutOfOrderCore:
         #: memory traffic whenever the speculation is incorrect".
         self.wrong_path_loads = wrong_path_loads
 
-    def run(self, trace: InstructionTrace) -> CoreResult:
+    def run(self, decoded: DecodedTrace) -> CoreResult:
+        """Time one run of *decoded* (:meth:`InstructionTrace.decode`)."""
         access = self.memory.access
         ruu_size = self.ruu_size
         lsq_size = self.lsq_size
@@ -72,7 +70,6 @@ class OutOfOrderCore:
         load_op = OpClass.LOAD.value
         store_op = OpClass.STORE.value
         branch_op = OpClass.BRANCH.value
-        decoded = trace.decode(self.predictor)
 
         reg_ready = [0] * REGISTER_SLOTS
         # Retire times in program order, of every instruction and of each

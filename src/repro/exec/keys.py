@@ -120,7 +120,7 @@ def sampling_key() -> dict[str, object] | None:
     if config is None:
         if selection != "sampled":
             return None
-        config = sampled.SamplingConfig(sampled.DEFAULT_SAMPLE_RATE)
+        config = sampled.default_sampling()
     return {
         "engine": "sampled",
         "rate": config.effective_rate,

@@ -75,6 +75,7 @@ __all__ = [
     "SamplingEnvelope",
     "configure_sampling",
     "current_sampling",
+    "default_sampling",
     "use_sampling",
     "sampling_for",
     "sample_mask",
@@ -157,7 +158,19 @@ class SamplingConfig:
         return self.threshold / _SAMPLE_MODULUS
 
 
+def _env_seed() -> int:
+    raw_seed = os.environ.get("REPRO_SAMPLE_SEED", "0")
+    try:
+        return int(raw_seed)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"REPRO_SAMPLE_SEED is not an integer: {raw_seed!r}"
+        ) from exc
+
+
 def _env_sampling() -> SamplingConfig | None:
+    """``$REPRO_SAMPLE_RATE``/``$REPRO_SAMPLE_SEED``, or None without a
+    rate: a seed alone configures nothing."""
     raw = os.environ.get("REPRO_SAMPLE_RATE")
     if not raw:
         return None
@@ -167,14 +180,16 @@ def _env_sampling() -> SamplingConfig | None:
         raise ConfigurationError(
             f"REPRO_SAMPLE_RATE is not a number: {raw!r}"
         ) from exc
-    raw_seed = os.environ.get("REPRO_SAMPLE_SEED", "0")
-    try:
-        seed = int(raw_seed)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"REPRO_SAMPLE_SEED is not an integer: {raw_seed!r}"
-        ) from exc
-    return SamplingConfig(rate=rate, seed=seed)
+    return SamplingConfig(rate=rate, seed=_env_seed())
+
+
+def default_sampling(seed: int | None = None) -> SamplingConfig:
+    """The sampling of the sampled engine when no rate is configured: the
+    default rate, seeded by *seed*, else by ``$REPRO_SAMPLE_SEED`` (0
+    when unset)."""
+    if seed is None:
+        seed = _env_seed()
+    return SamplingConfig(DEFAULT_SAMPLE_RATE, seed=seed)
 
 
 #: Marks the process-wide parameters as not yet read from the
@@ -226,7 +241,7 @@ def sampling_for(selection: str, references: int) -> SamplingConfig | None:
     """
     configured = current_sampling()
     if selection == "sampled":
-        return configured or SamplingConfig(DEFAULT_SAMPLE_RATE)
+        return configured or default_sampling()
     if selection == "auto" and configured is not None:
         if references >= AUTO_SAMPLED_MIN_REFS:
             return configured
@@ -507,7 +522,7 @@ def simulate_cache_sampled(
             f"no sampled engine for {config.describe()}: {reason}"
         )
     if sampling is None:
-        sampling = current_sampling() or SamplingConfig(DEFAULT_SAMPLE_RATE)
+        sampling = current_sampling() or default_sampling()
 
     def miniature(sub: MemTrace, capacity: int) -> CacheStats:
         curve = traffic_curve(sub, block_bytes=config.block_bytes)
@@ -560,7 +575,7 @@ def simulate_mtc_sampled(
             f"no sampled engine for {config.describe()}: {reason}"
         )
     if sampling is None:
-        sampling = current_sampling() or SamplingConfig(DEFAULT_SAMPLE_RATE)
+        sampling = current_sampling() or default_sampling()
 
     def miniature(sub: MemTrace, capacity: int) -> CacheStats:
         shim = _ScaledMTC(

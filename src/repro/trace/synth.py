@@ -252,13 +252,17 @@ def zipf_words(
     table_words, size=count, p=weights)``, with the choice split into its
     own steps (the weights' normalized cumulative sum, ``count``
     uniforms, a right-sided ``searchsorted``): the same indices and the
-    same generator state, but a prefix pays only its own lookups.
+    same generator state, but a prefix pays only its own lookups. The
+    ranks become the weights and then their CDF in place: the table costs
+    one float array beside the permutation.
     """
-    ranks = np.arange(1, table_words + 1, dtype=np.float64)
-    weights = ranks ** (-alpha)
-    weights /= weights.sum()
+    cdf = np.arange(1, table_words + 1, dtype=np.float64)
+    # In place, ``**=`` takes the same path (and so gives the same bits)
+    # as ``ranks ** -alpha``.
+    cdf **= -alpha
+    cdf /= cdf.sum()
     permutation = rng.permutation(table_words)
-    cdf = weights.cumsum()
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     uniforms = rng.random(count)
 

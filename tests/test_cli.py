@@ -439,6 +439,18 @@ class TestSamplingFlags:
         assert "sampled estimate: rate " in out
         assert ", seed 3, " in out
 
+    @pytest.mark.parametrize(
+        "flags", [(), ("--sample-rate", "0.2")], ids=["default-rate", "rate"]
+    )
+    def test_the_environment_seeds_the_sampled_engine(self, monkeypatch, flags):
+        monkeypatch.delenv("REPRO_SAMPLE_RATE", raising=False)
+        monkeypatch.setenv("REPRO_SAMPLE_SEED", "5")
+        out = run_cli(
+            "simulate", "espresso", "--size", "64KB", "--assoc", "2048",
+            "--max-refs", "20000", "--engine", "sampled", *flags,
+        )
+        assert ", seed 5, " in out
+
 
 class TestCacheStatsJson:
     def test_json_and_human_modes_agree(self, tmp_path, capsys):

@@ -34,14 +34,25 @@ def trace(n_refs=500, **profile_kwargs):
     return build_instruction_trace(memtrace, profile, seed=0)
 
 
+class Decoding:
+    """*core* with a ``run`` that takes an InstructionTrace and decodes it
+    under a fresh 1024-entry predictor."""
+
+    def __init__(self, core):
+        self.core = core
+
+    def run(self, instruction_trace):
+        return self.core.run(instruction_trace.decode(TwoLevelPredictor(1024)))
+
+
 def in_order(mode=MemoryMode.PERFECT, **kwargs):
-    return InOrderCore(memory(mode), TwoLevelPredictor(1024), **kwargs)
+    return Decoding(InOrderCore(memory(mode), **kwargs))
 
 
 def out_of_order(mode=MemoryMode.PERFECT, **kwargs):
     kwargs.setdefault("ruu_size", 16)
     kwargs.setdefault("lsq_size", 8)
-    return OutOfOrderCore(memory(mode), TwoLevelPredictor(1024), **kwargs)
+    return Decoding(OutOfOrderCore(memory(mode), **kwargs))
 
 
 class TestInOrderCore:

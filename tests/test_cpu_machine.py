@@ -36,6 +36,21 @@ class TestMachine:
         result = Machine(experiment("A")).run(li_trace)
         assert result.full_memory_stats.accesses == li_trace.memory_reference_count
 
+    @pytest.mark.parametrize("name", "AF")
+    def test_one_predictor_pass_serves_all_three_modes(
+        self, li_trace, monkeypatch, name
+    ):
+        trained = []
+        train = TwoLevelPredictor.train
+
+        def counted(predictor, pcs, takens):
+            trained.append(predictor)
+            return train(predictor, pcs, takens)
+
+        monkeypatch.setattr(TwoLevelPredictor, "train", counted)
+        Machine(experiment(name)).run(li_trace)
+        assert len(trained) == 1
+
     def test_label_contains_benchmark_and_experiment(self, li_trace):
         result = Machine(experiment("C")).run(li_trace)
         assert "Li" in result.decomposition.label
@@ -137,27 +152,23 @@ class TestBlockSizeAndSpeculation:
             )
             core = OutOfOrderCore(
                 memory,
-                TwoLevelPredictor(1024),
                 ruu_size=32,
                 lsq_size=16,
                 wrong_path_loads=wrong_path,
             )
-            core.run(itrace)
+            core.run(itrace.decode(TwoLevelPredictor(1024)))
             return memory.stats.l1_l2_traffic_bytes
 
         assert traffic(4) > traffic(0)
 
     def test_wrong_path_loads_validated(self):
-        from repro.cpu.branch import TwoLevelPredictor
         from repro.cpu.ooo import OutOfOrderCore
         from repro.mem.timing import MemoryMode, TimingMemory
 
         config = experiment("D")
         memory = TimingMemory(config.timing_memory_params(0.25), MemoryMode.FULL)
         with pytest.raises(Exception):
-            OutOfOrderCore(
-                memory, TwoLevelPredictor(64), wrong_path_loads=-1
-            )
+            OutOfOrderCore(memory, wrong_path_loads=-1)
 
     def test_issue_width_fits_a_byte(self):
         from repro.errors import ConfigurationError
@@ -165,23 +176,22 @@ class TestBlockSizeAndSpeculation:
         memory = TimingMemory(
             experiment("D").timing_memory_params(0.25), MemoryMode.FULL
         )
-        OutOfOrderCore(memory, TwoLevelPredictor(64), issue_width=255)
+        OutOfOrderCore(memory, issue_width=255)
         with pytest.raises(ConfigurationError):
-            OutOfOrderCore(memory, TwoLevelPredictor(64), issue_width=256)
+            OutOfOrderCore(memory, issue_width=256)
 
 
 def _mode_runs(config, trace, params, modes=tuple(MemoryMode)):
     """``(CoreResult, TimingMemoryStats)`` of *config*'s core over *trace*
     with memory *params*, one run per mode in *modes*."""
     processor = config.processor
+    decoded = trace.decode(TwoLevelPredictor(processor.branch_table_entries))
     runs = []
     for mode in modes:
         memory = TimingMemory(params, mode)
-        predictor = TwoLevelPredictor(processor.branch_table_entries)
         if processor.out_of_order:
             core = OutOfOrderCore(
                 memory,
-                predictor,
                 ruu_size=processor.ruu_slots,
                 lsq_size=processor.lsq_entries,
                 issue_width=processor.issue_width,
@@ -190,11 +200,10 @@ def _mode_runs(config, trace, params, modes=tuple(MemoryMode)):
         else:
             core = InOrderCore(
                 memory,
-                predictor,
                 issue_width=processor.issue_width,
                 mem_ports=processor.mem_ports,
             )
-        runs.append((core.run(trace), memory.stats))
+        runs.append((core.run(decoded), memory.stats))
     return runs
 
 
@@ -317,9 +326,8 @@ class TestLongRunDigests:
 #: Cores at the edges of their dimensions: a window smaller than the
 #: fetch width, a one-entry LSQ, one issue slot and one memory port.
 EDGE_CORES = {
-    "ooo-ruu2-fetch4": lambda memory, predictor: OutOfOrderCore(
+    "ooo-ruu2-fetch4": lambda memory: OutOfOrderCore(
         memory,
-        predictor,
         ruu_size=2,
         lsq_size=1,
         issue_width=1,
@@ -327,9 +335,8 @@ EDGE_CORES = {
         fetch_width=4,
         wrong_path_loads=0,
     ),
-    "ooo-ruu1-fetch8": lambda memory, predictor: OutOfOrderCore(
+    "ooo-ruu1-fetch8": lambda memory: OutOfOrderCore(
         memory,
-        predictor,
         ruu_size=1,
         lsq_size=3,
         issue_width=2,
@@ -337,11 +344,11 @@ EDGE_CORES = {
         fetch_width=8,
         wrong_path_loads=0,
     ),
-    "inorder-width1": lambda memory, predictor: InOrderCore(
-        memory, predictor, issue_width=1, mem_ports=1
+    "inorder-width1": lambda memory: InOrderCore(
+        memory, issue_width=1, mem_ports=1
     ),
-    "inorder-width3-port1": lambda memory, predictor: InOrderCore(
-        memory, predictor, issue_width=3, mem_ports=1
+    "inorder-width3-port1": lambda memory: InOrderCore(
+        memory, issue_width=3, mem_ports=1
     ),
 }
 
@@ -369,12 +376,12 @@ class TestEdgeConfigurationDigests:
             for experiment_name in "AF":
                 config = experiment(experiment_name, workload.suite)
                 params = config.timing_memory_params(workload.scale)
+                decoded = trace.decode(
+                    TwoLevelPredictor(config.processor.branch_table_entries)
+                )
                 for mode in MemoryMode:
                     memory = TimingMemory(params, mode)
-                    predictor = TwoLevelPredictor(
-                        config.processor.branch_table_entries
-                    )
-                    result = build(memory, predictor).run(trace)
+                    result = build(memory).run(decoded)
                     runs.append((result, memory.stats))
         assert _timing_digest(runs) == EDGE_DIGESTS[name]
 

@@ -243,7 +243,7 @@ def test_auto_falls_back_to_exact_for_unsupported_configs(monkeypatch):
 
 
 def test_env_vars_seed_the_initial_sampling(monkeypatch):
-    # The module global is seeded from the environment at import time
+    # The module global is read from the environment on first use
     # (mirroring $REPRO_ENGINE); _env_sampling is that reader.
     monkeypatch.setenv("REPRO_SAMPLE_RATE", "0.125")
     monkeypatch.setenv("REPRO_SAMPLE_SEED", "11")
@@ -302,6 +302,18 @@ def test_sampling_key_separates_rates_seeds_and_exact():
             c = sampling_key()
     keys = {stable_hash(material) for material in (default, a, b, c)}
     assert len(keys) == 4  # rate, seed, and default all key apart
+
+
+def test_the_environment_seed_keys_the_default_sample(monkeypatch):
+    monkeypatch.delenv("REPRO_SAMPLE_RATE", raising=False)
+    monkeypatch.setenv("REPRO_SAMPLE_SEED", "5")
+    with engines.use_engine("sampled"):
+        assert sampling_key()["seed"] == 5
+        assert sampled.sampling_for("sampled", 100).seed == 5
+    # A seed alone configures no rate: ``auto`` stays exact.
+    with engines.use_engine("auto"):
+        assert sampling_key() is None
+    assert sampled.sampling_for("auto", 10**12) is None
 
 
 def test_sampling_key_under_auto_requires_a_rate():

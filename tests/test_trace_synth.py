@@ -1,5 +1,7 @@
 """Tests for the synthetic address-stream building blocks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -510,6 +512,19 @@ class TestZipfWords:
         assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert np.array_equal(words(count), expected)
         assert np.array_equal(words(777), expected[:777])
+
+    def test_a_table_costs_one_float_array_beside_its_permutation(self):
+        table_words = 1_441_792  # Perl's heap
+        tracemalloc.start()
+        try:
+            synth.zipf_words(
+                np.random.default_rng(0), table_words, 1000, alpha=1.05
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The CDF and the permutation are two table-sized 8-byte arrays.
+        assert peak < 2.5 * table_words * 8
 
 
 class TestDeterminism:
