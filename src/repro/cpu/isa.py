@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.cpu.branch import TwoLevelPredictor
 from repro.errors import TraceError
-
-if TYPE_CHECKING:
-    from repro.cpu.branch import TwoLevelPredictor
 
 
 class OpClass(enum.IntEnum):
@@ -140,11 +138,12 @@ class InstructionTrace:
     def memory_reference_count(self) -> int:
         return int(self.is_mem.sum())
 
-    def decode(self, predictor: "TwoLevelPredictor") -> DecodedTrace:
+    def decode(self, table_entries: int) -> DecodedTrace:
         """The columns the timing runs iterate, as Python lists, with
-        every branch's outcome under *predictor*, which trains over the
-        branches in program order. One decode serves every run of the
-        trace under one predictor size."""
+        every branch's outcome under a fresh ``TwoLevelPredictor`` of
+        *table_entries* entries, which trains over the branches in
+        program order. One decode serves every run of the trace under one
+        predictor size."""
         for field_name, low, high in (
             ("opclass", 0, len(OP_LATENCY)),
             ("dest", NO_REG, NUM_REGS),
@@ -158,7 +157,7 @@ class InstructionTrace:
                     f"outside [{low}, {high})"
                 )
         branch = self.opclass == OpClass.BRANCH
-        missed = predictor.train(
+        missed = TwoLevelPredictor(table_entries).train(
             self.pc[branch].tolist(), self.taken[branch].tolist()
         )
         mispredicted = np.zeros(len(self), dtype=np.uint8)

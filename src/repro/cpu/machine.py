@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 
 from repro.core.decomposition import ExecutionDecomposition, decompose
-from repro.cpu.branch import TwoLevelPredictor
 from repro.cpu.configs import ExperimentConfig
 from repro.cpu.inorder import CoreResult, InOrderCore
 from repro.cpu.isa import DecodedTrace, InstructionTrace
@@ -89,9 +88,7 @@ class Machine:
 
     def run(self, trace: InstructionTrace) -> MachineResult:
         """Run the three-simulation decomposition protocol on *trace*."""
-        decoded = trace.decode(
-            TwoLevelPredictor(self.config.processor.branch_table_entries)
-        )
+        decoded = trace.decode(self.config.processor.branch_table_entries)
         perfect, _ = self._run_mode(decoded, MemoryMode.PERFECT)
         infinite, _ = self._run_mode(decoded, MemoryMode.INFINITE)
         full, full_stats = self._run_mode(decoded, MemoryMode.FULL)

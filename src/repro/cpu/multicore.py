@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cpu.branch import TwoLevelPredictor
 from repro.cpu.configs import ExperimentConfig, experiment
 from repro.cpu.inorder import MISPREDICT_PENALTY
 from repro.cpu.isa import OP_LATENCY, REGISTER_SLOTS, InstructionTrace, OpClass
@@ -139,7 +138,7 @@ class ChipMultiprocessor:
 
         # Every core runs the same trace with a fresh predictor of the
         # same size, so one predictor pass serves them all.
-        decoded = trace.decode(TwoLevelPredictor(processor.branch_table_entries))
+        decoded = trace.decode(processor.branch_table_entries)
         latency = OP_LATENCY
         load_op = OpClass.LOAD.value
         store_op = OpClass.STORE.value

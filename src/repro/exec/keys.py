@@ -109,17 +109,15 @@ def sampling_key() -> dict[str, object] | None:
     Imports lazily: key construction must stay numpy-free unless
     sampling is actually in play.
     """
-    from repro.mem import engines
+    from repro.mem import engines, sampling
 
     selection = engines.current_engine()
-    if selection not in ("sampled", "auto"):
+    if not sampling.may_sample(selection):
         return None
-    from repro.mem import sampled
-
-    config = sampled.current_sampling()
+    config = sampling.current_sampling()
     if config is None:
-        if selection != "sampled":
-            return None
+        from repro.mem import sampled
+
         config = sampled.default_sampling()
     return {
         "engine": "sampled",

@@ -3,7 +3,7 @@
 Runs every SPEC92 benchmark through one representative set-associative
 configuration (64 KB, 32-byte blocks, 4-way LRU, write-back
 write-allocate) twice — once with the scalar per-access loop and once
-with the per-set LRU stack loop of ``engine="vector"`` — asserting the
+with the stack-distance kernel of ``engine="vector"`` — asserting the
 two produce identical :class:`~repro.mem.cache.CacheStats` before reporting
 per-engine throughput. This is the ``repro profile bench_cache`` target
 backing the engine numbers in docs/performance.md; the measured speedup
@@ -27,7 +27,7 @@ from repro.workloads.registry import all_workloads
 DEFAULT_BENCH_REFS = 100_000
 
 #: The benchmarked configuration: big enough to exercise real set
-#: pressure, associative enough to leave the direct-mapped fast path.
+#: pressure, associative enough that the kernel counts windows.
 BENCH_CONFIG = CacheConfig(
     size_bytes=64 * 1024, block_bytes=32, associativity=4
 )

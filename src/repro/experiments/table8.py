@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from repro.core.traffic import measure_inefficiency
 from repro.experiments.runner import ScaledAxis, SweepResult, evaluate_grid
 from repro.mem.mtc import MinimalTrafficCache, MTCConfig
+from repro.mem.sampling import may_sample
 from repro.workloads.base import DEFAULT_SCALE, SyntheticWorkload
 from repro.workloads.registry import all_workloads
 
@@ -91,7 +92,7 @@ class InefficiencyMeasure:
         # The sampled MTC prepares its own (much smaller) sub-trace
         # pass 1, so the shared full-trace pass would be wasted work.
         sampling = None
-        if selection in ("sampled", "auto"):
+        if may_sample(selection):
             from repro.mem import sampled
 
             sampling = sampled.sampling_for(selection, len(trace))

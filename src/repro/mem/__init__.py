@@ -6,7 +6,8 @@ cache measurements; :mod:`repro.mem.engines` holds their vectorized
 simulation kernels plus the process-wide engine selection
 (``auto``/``scalar``/``vector``/``sampled``); :mod:`repro.mem.sampled`
 is the sampled tier — spatial reference sampling with error envelopes
-for paper-scale traces; the timing-side memory system (:mod:`repro.mem.timing`
+for paper-scale traces — and :mod:`repro.mem.sampling` its process-wide
+parameters; the timing-side memory system (:mod:`repro.mem.timing`
 — buses, MSHRs, prefetch) serves the execution-time decomposition
 experiments. Extension mechanisms from the paper's Sections 5.3/6 live in
 :mod:`repro.mem.bypass` (Tyson-style selective caching),

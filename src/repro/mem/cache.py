@@ -26,6 +26,7 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults import FAULTS
 from repro.mem.policies import ReplacementPolicy, make_policy
+from repro.mem.sampling import may_sample
 from repro.obs import OBS, TRACER
 from repro.trace.model import MemTrace, WORD_BYTES
 from repro.util import format_size, require_power_of_two
@@ -431,7 +432,7 @@ class Cache:
 
         started = time.time()
         selection = engines.resolve_engine(engine)
-        if selection in ("sampled", "auto"):
+        if may_sample(selection):
             from repro.mem import sampled as sampled_engine
 
             sampling = sampled_engine.sampling_for(selection, len(trace))

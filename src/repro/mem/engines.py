@@ -10,11 +10,12 @@ equality):
 
 * :func:`simulate_cache_lru` — A-way set-associative LRU simulation
   for every write/allocate policy combination (and any replacement
-  policy at associativity 1, where the victim is forced). One
-  insertion-ordered dict per set is that set's LRU stack, oldest line
-  first; under write-back/write-allocate a line is just its dirty flag.
-  Direct-mapped write-back/write-allocate caches take a vectorized
-  kernel instead: one stable sort by set and array comparisons.
+  policy at associativity 1, where the victim is forced). A
+  write-back/write-allocate cache of up to 16 ways runs a vectorized
+  stack-distance kernel: one stable sort by set, then each reference's
+  window since its block's previous one decides hit or miss. Wider
+  sets and the other policies run a loop in which one
+  insertion-ordered dict per set is that set's LRU stack.
 * :func:`simulate_mtc_fast` — the minimal-traffic cache's Belady MIN
   with a vectorized next-use pass, a closed-form fill, and a Python
   loop over only the misses that can change the cache (single-use
@@ -32,8 +33,8 @@ Engine selection is a process-wide choice (``auto`` | ``scalar`` |
 :func:`use_engine` context manager, the ``REPRO_ENGINE`` environment
 variable, or the CLI's ``--engine`` flag. ``auto`` runs a fast exact
 engine wherever one is eligible; ``scalar`` forces the reference
-implementations (including disabling the direct-mapped kernel — this is
-the honest baseline for differential tests and benchmarks); ``vector``
+implementations (including disabling every kernel — this is the honest
+baseline for differential tests and benchmarks); ``vector``
 demands a fast engine and raises
 :class:`~repro.errors.ConfigurationError` where none exists (traffic
 listeners, non-LRU replacement above associativity 1, multi-word MTC
@@ -149,15 +150,6 @@ def cache_vector_reason(config: CacheConfig, listener=None) -> str | None:
     return None
 
 
-def _dm_fast_eligible(config: CacheConfig, listener) -> bool:
-    return (
-        listener is None
-        and config.associativity == 1
-        and config.write_policy is WritePolicy.WRITEBACK
-        and config.allocate is AllocatePolicy.WRITE_ALLOCATE
-    )
-
-
 def dispatch_cache(
     config: CacheConfig,
     trace: MemTrace,
@@ -174,8 +166,6 @@ def dispatch_cache(
     ``Cache.access`` reference; under ``"vector"`` an ineligible
     configuration raises instead.
     """
-    if _dm_fast_eligible(config, listener):
-        return _simulate_direct_mapped_writeback(config, trace, flush)
     reason = cache_vector_reason(config, listener)
     if reason is None:
         return simulate_cache_lru(config, trace, flush=flush)
@@ -189,37 +179,37 @@ def dispatch_cache(
 def _stable_order(keys: np.ndarray, max_key: int) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for keys in ``[0, max_key]``.
 
-    The keys are cast to the narrowest type that holds *max_key* first. A
-    stable sort's permutation is unique, so the result is the same; numpy
-    radix-sorts 8- and 16-bit keys, several times faster than its int64
-    merge sort.
+    numpy radix-sorts 8- and 16-bit keys, several times faster than its
+    merge sort of wider ones. So keys up to 16 bits are cast to the
+    narrowest type that holds *max_key*, and wider keys are sorted by
+    their low 16 bits, then stably by the rest: an LSD radix sort. A
+    stable sort's permutation is unique, so the result is the same.
     """
-    narrow = keys.astype(np.min_scalar_type(max_key), copy=False)
-    return np.argsort(narrow, kind="stable")
-
-
-def _simulate_direct_mapped_writeback(
-    config: CacheConfig, trace: MemTrace, flush: bool
-) -> CacheStats:
-    """Vectorized exact simulation of a direct-mapped WB/WA cache.
-
-    In a direct-mapped cache each set holds one block, so a reference hits
-    iff the previous reference to its set touched the same block. One
-    stable sort by set turns the run into the array comparisons of
-    :func:`_dm_stats_from_order`.
-    """
-    if len(trace) == 0:
-        return CacheStats()
-    blocks = trace.addresses // config.block_bytes
-    order = _stable_order(blocks % config.num_sets, config.num_sets - 1)
-    return _dm_stats_from_order(
-        config, blocks, trace.is_write, order, trace, flush
-    )
+    if max_key <= 0xFFFF:
+        narrow = keys.astype(np.min_scalar_type(max_key), copy=False)
+        return np.argsort(narrow, kind="stable")
+    order = _stable_order(keys & 0xFFFF, 0xFFFF)
+    return order[_stable_order(keys[order] >> 16, max_key >> 16)]
 
 
 # --------------------------------------------------------------------------
-# Set-associative LRU stack loop
+# Set-associative LRU
 # --------------------------------------------------------------------------
+
+#: The widest set the stack-distance kernel serves. Its work per window
+#: grows with the ways: one hot set of about as many blocks as ways costs
+#: it up to 1.6 times the stack loop's CPU at 16 ways and 2.2 times at 32
+#: (docs/performance.md, "Set-associative LRU").
+STACK_KERNEL_MAX_WAYS = 16
+
+#: Vectorized rounds, of ``ways`` window positions each, before the
+#: windows still open are settled by binary lifting.
+_SCAN_ROUNDS = 2
+
+#: Levels of the lifting step's sparse table at most, so the table holds
+#: at most this many int32 copies of the trace. One descent skips up to
+#: ``2**_LIFT_LEVELS - 1`` positions; a longer stretch takes several.
+_LIFT_LEVELS = 10
 
 
 def simulate_cache_lru(
@@ -227,13 +217,16 @@ def simulate_cache_lru(
 ) -> CacheStats:
     """Exact set-associative LRU simulation (all write/allocate policies).
 
+    A write-back/write-allocate cache of at most
+    :data:`STACK_KERNEL_MAX_WAYS` ways runs the stack-distance kernel
+    (:func:`_lru_stack_kernel`). Every other configuration runs
     ``Cache.access`` without its per-access overhead: blocks and write
     flags become lists once, and each set is one insertion-ordered dict,
     oldest line first. A hit pops its block and re-inserts it at the
     young end; a fill into a full set evicts ``next(iter(lines))``. At
     associativity 1 the victim is forced, so every replacement policy
-    runs here. The loops count only misses, holes and evictions; fetches
-    and write-through words follow from those once, at the end.
+    runs here. The engines count only misses, holes and evictions;
+    fetches and write-through words follow from those once, at the end.
     """
     reason = cache_vector_reason(config)
     if reason is not None:
@@ -248,16 +241,29 @@ def simulate_cache_lru(
         return stats
     writeback = config.write_policy is WritePolicy.WRITEBACK
     allocate = config.allocate
-    blocks = (trace.addresses // config.block_bytes).tolist()
-    writes = trace.is_write.tolist()
-    stacks: list[dict] = [{} for _ in range(config.num_sets)]
+    ways = config.associativity
+    blocks = trace.addresses // config.block_bytes
     if writeback and allocate is AllocatePolicy.WRITE_ALLOCATE:
-        counts = _lru_writeback_allocate(
-            blocks, writes, stacks, config.associativity
-        )
+        if ways <= STACK_KERNEL_MAX_WAYS:
+            counts = _lru_stack_kernel(
+                blocks, trace.is_write, config.num_sets, ways
+            )
+        else:
+            counts = _lru_writeback_allocate(
+                blocks.tolist(),
+                trace.is_write.tolist(),
+                [{} for _ in range(config.num_sets)],
+                ways,
+            )
     else:
         words = ((trace.addresses % config.block_bytes) // WORD_BYTES).tolist()
-        counts = _lru_any_policy(blocks, words, writes, stacks, config)
+        counts = _lru_any_policy(
+            blocks.tolist(),
+            words,
+            trace.is_write.tolist(),
+            [{} for _ in range(config.num_sets)],
+            config,
+        )
     misses, write_misses, holes, written_back, dirty_left = counts
 
     read_misses = misses - write_misses
@@ -283,6 +289,210 @@ def simulate_cache_lru(
     if flush:
         stats.flush_writeback_bytes = dirty_left * unit
     return stats
+
+
+def _lru_stack_kernel(
+    blocks: np.ndarray, writes: np.ndarray, num_sets: int, ways: int
+) -> tuple[int, int, int, int, int]:
+    """The write-back/write-allocate counts of an LRU cache, from the
+    set-grouped trace instead of a walk over each reference.
+
+    LRU is a stack algorithm (Mattson et al., 1970): a reference hits an
+    A-way set iff fewer than A distinct blocks of its set were touched
+    since the block's previous reference.
+
+    * One stable sort groups the references by set. A repeat of the
+      entry before it is a hit that moves nothing, so each run of repeats
+      collapses to one entry, whose write flag is the run's OR.
+    * An entry's *window* is the stretch since its block's previous
+      entry. A window shorter than A hits. Adjacent entries differ, so a
+      window of two or more holds two distinct blocks: at one way no
+      window hits, and at two ways no longer one. Above two ways, the
+      window's distinct blocks are its first occurrences, the entries
+      whose previous occurrence lies before the window, and
+      :func:`_window_hits` counts them.
+    * Each miss opens a generation of its block. A generation is dirty
+      iff one of its references writes, and it is written back unless it
+      is its block's last one and still resident at the end: fewer than
+      A distinct blocks of its set follow the block's last entry.
+    """
+    set_mask = num_sets - 1
+    block, first_write, written = _collapsed_by_set(blocks, writes, set_mask)
+    sets = block & set_mask
+    m = block.size
+    if ways == 1:
+        # Every entry misses and is a generation of its own; each set ends
+        # holding its last entry.
+        last_of_set = np.append(sets[1:] != sets[:-1], True)
+        dirty_left = int(np.count_nonzero(written & last_of_set))
+        written_back = int(np.count_nonzero(written)) - dirty_left
+        write_misses = int(np.count_nonzero(first_write))
+        return m, write_misses, 0, written_back, dirty_left
+
+    # Each entry's previous occurrence, from the entries grouped by block.
+    index = np.int32 if m < 2**31 else np.int64
+    by_block = _stable_order(block, int(block.max()))
+    same = block[by_block[1:]] == block[by_block[:-1]]
+    prev = np.full(m, -1, dtype=index)
+    prev[by_block[1:][same]] = by_block[:-1][same]
+    seen = prev >= 0
+    window = np.arange(m, dtype=index) - prev - 1
+    hit = seen & (window < ways)
+    if ways > 2:
+        wide = np.flatnonzero(seen & (window >= ways)).astype(index)
+        hit[wide[_window_hits(prev, prev[wide], wide, ways)]] = True
+    miss = ~hit
+    misses = int(np.count_nonzero(miss))
+    write_misses = int(np.count_nonzero(miss & first_write))
+
+    # Generations, in block order: each miss opens one, and boundary[k]
+    # marks where a block's entries begin (k == m: past the last block).
+    opens = np.flatnonzero(miss[by_block])
+    generation_dirty = _any_in_stretches(written[by_block], opens)
+    boundary = np.ones(m + 1, dtype=bool)
+    boundary[1:-1] = ~same
+    final_dirty = np.zeros(m, dtype=bool)
+    final_dirty[by_block[boundary[1:]]] = generation_dirty[
+        boundary[np.append(opens[1:], m)]
+    ]
+    # A block's final entry is resident iff fewer than ``ways`` final
+    # entries of its set follow it.
+    final = np.ones(m, dtype=bool)
+    final[prev[seen]] = False
+    finals = np.flatnonzero(final)
+    final_sets = sets[finals]
+    dirty_resident = final_dirty[finals]
+    dirty_resident[:-ways] &= final_sets[ways:] != final_sets[:-ways]
+    dirty_left = int(np.count_nonzero(dirty_resident))
+    written_back = int(np.count_nonzero(generation_dirty)) - dirty_left
+    return misses, write_misses, 0, written_back, dirty_left
+
+
+def _collapsed_by_set(
+    blocks: np.ndarray, writes: np.ndarray, set_mask: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The references grouped by set, each run of one block collapsed:
+    each entry's block, whether its first reference writes, and whether
+    any of its references does."""
+    order = _stable_order(blocks & set_mask, set_mask)
+    grouped = blocks[order]
+    grouped_writes = writes[order]
+    heads = np.empty(grouped.size, dtype=bool)
+    heads[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=heads[1:])
+    starts = np.flatnonzero(heads)
+    return (
+        grouped[starts],
+        grouped_writes[starts],
+        _any_in_stretches(grouped_writes, starts),
+    )
+
+
+def _any_in_stretches(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Whether each stretch ``flags[starts[k]:starts[k + 1]]`` holds a
+    True, the last stretch running to the end: ``np.logical_or.reduceat``
+    from one running count, in half its time."""
+    running = np.zeros(flags.size + 1, dtype=np.int64)
+    np.cumsum(flags, out=running[1:])
+    return running[np.append(starts[1:], flags.size)] > running[starts]
+
+
+def _window_hits(
+    prev: np.ndarray, begin: np.ndarray, end: np.ndarray, ways: int
+) -> np.ndarray:
+    """Whether each window ``(begin, end)`` of at least *ways* entries
+    holds fewer than *ways* distinct blocks.
+
+    The window's distinct blocks are its first occurrences, the positions
+    ``j`` inside it with ``prev[j] < begin``.
+
+    * A sliding maximum of ``prev`` over *ways* positions finds the
+      windows whose first *ways* entries are all first occurrences. They
+      miss, and they are most windows of a trace without a hot set.
+    * :data:`_SCAN_ROUNDS` vectorized rounds count the first occurrences
+      of the rest, *ways* positions at a time. A window misses once its
+      count reaches *ways*, and hits once it is scanned to its end.
+    * :func:`_lifted_hits` settles the windows still open.
+    """
+    lead = prev  # lead[j]: the largest prev over positions j .. j + width - 1
+    width = 1
+    while width < ways:
+        shift = min(width, ways - width)
+        lead = np.maximum(lead[:-shift], lead[shift:])
+        width += shift
+    hits = np.zeros(begin.size, dtype=bool)
+    todo = np.flatnonzero(lead[begin + 1] >= begin)
+    begin, end = begin[todo], end[todo]
+    pos = begin + 1  # the first position not yet scanned
+    count = np.zeros(todo.size, dtype=np.int64)
+    offsets = np.arange(ways, dtype=prev.dtype)
+    for _ in range(_SCAN_ROUNDS):
+        scanned = pos[:, None] + offsets
+        inside = scanned < end[:, None]
+        np.minimum(scanned, prev.size - 1, out=scanned)
+        count += np.count_nonzero(
+            inside & (prev[scanned] < begin[:, None]), axis=1
+        )
+        pos += ways
+        missed, exhausted = count >= ways, pos >= end
+        hits[todo[exhausted & ~missed]] = True
+        keep = ~(missed | exhausted)
+        todo, begin, end, pos, count = (
+            column[keep] for column in (todo, begin, end, pos, count)
+        )
+    if todo.size:
+        hits[todo] = _lifted_hits(prev, begin, end, pos, count, ways)
+    return hits
+
+
+def _lifted_hits(
+    prev: np.ndarray,
+    begin: np.ndarray,
+    end: np.ndarray,
+    pos: np.ndarray,
+    count: np.ndarray,
+    ways: int,
+) -> np.ndarray:
+    """:func:`_window_hits` for open windows: *count* first occurrences
+    found before position *pos*, none decided yet.
+
+    Each step moves every window to its next first occurrence by binary
+    lifting over a sparse table of ``prev`` minima: one descent of log2
+    vectorized steps (at most :data:`_LIFT_LEVELS`) skips the stretch
+    before it. Steps repeat until the window has *ways* first
+    occurrences (a miss) or none is left before its end (a hit). So no
+    trace shape needs a loop over references.
+    """
+    # table[k][j] is the least prev over positions j .. j + 2**k - 1; the
+    # padding past the last entry reads as no first occurrence. Its
+    # levels skip up to the longest stretch left in any window.
+    levels = min(int((end - pos).max()).bit_length(), _LIFT_LEVELS)
+    table = [
+        np.concatenate((prev, np.full(1 << levels, prev.size, prev.dtype)))
+    ]
+    for k in range(1, levels):
+        half = 1 << (k - 1)
+        level = table[-1].copy()
+        np.minimum(table[-1][:-half], table[-1][half:], out=level[:-half])
+        table.append(level)
+    hits = np.zeros(begin.size, dtype=bool)
+    todo = np.arange(begin.size)
+    while todo.size:
+        # Skip the longest stretch from pos, up to the table's reach, that
+        # holds no first occurrence: pos lands on the next one, at or past
+        # the window's end, or (after a full-length skip) anywhere.
+        for k in range(levels - 1, -1, -1):
+            np.add(pos, 1 << k, out=pos, where=table[k][pos] >= begin)
+        inside = pos < end
+        found = inside & (table[0][pos] < begin)
+        count += found
+        pos += found
+        hits[todo[~inside]] = True
+        keep = inside & (count < ways)
+        todo, begin, end, pos, count = (
+            column[keep] for column in (todo, begin, end, pos, count)
+        )
+    return hits
 
 
 def _lru_writeback_allocate(
@@ -419,7 +629,7 @@ def direct_mapped_family(
     refines the permutation with a single stable bit partition (an LSD
     radix step), which reproduces ``np.argsort(blocks % sets, stable)``
     for that size exactly — so every per-size result is bit-identical to
-    :func:`_simulate_direct_mapped_writeback` while the O(n log n) sort
+    a single direct-mapped ``Cache.simulate`` while the O(n log n) sort
     is paid once for the whole axis.
     """
     results: dict[int, CacheStats] = {}
@@ -465,9 +675,10 @@ def _dm_stats_from_order(
 ) -> CacheStats:
     """Direct-mapped WB/WA stats given the set-grouped permutation.
 
-    Mirrors ``_simulate_direct_mapped_writeback`` step for step; the
-    differential suite pins the two to exact equality on every size of
-    random sweeps so they cannot drift apart.
+    The family's per-size step. A single direct-mapped cache runs the
+    stack-distance kernel's one-way case instead; the differential suite
+    pins both to the scalar loop on every size of random sweeps, so they
+    cannot drift apart.
     """
     n = blocks.size
     stats = CacheStats(

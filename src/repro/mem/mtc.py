@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError, SimulationError
 from repro.mem.cache import AllocatePolicy, CacheStats
 from repro.mem.policies import NEVER, compute_next_use
+from repro.mem.sampling import may_sample
 from repro.obs import OBS, TRACER
 from repro.trace.model import MemTrace, WORD_BYTES
 from repro.util import format_size, require_power_of_two
@@ -102,7 +103,7 @@ class MinimalTrafficCache:
 
         started = time.time()
         selection = engines.resolve_engine(engine)
-        if selection in ("sampled", "auto"):
+        if may_sample(selection):
             from repro.mem import sampled as sampled_engine
 
             sampling = sampled_engine.sampling_for(selection, len(trace))

@@ -36,7 +36,8 @@ relative guard that covers miniature-capacity rounding bias. The
 differential suite (``tests/test_mem_sampled.py``) asserts the measured
 |sampled - exact| error stays inside this envelope on every workload.
 
-Sampling is a process-wide configuration like the engine choice:
+Sampling is a process-wide configuration like the engine choice, kept in
+:mod:`repro.mem.sampling` and re-exported here:
 :func:`configure_sampling` / :func:`use_sampling`, the
 ``REPRO_SAMPLE_RATE`` / ``REPRO_SAMPLE_SEED`` environment variables, or
 the CLI's ``--sample-rate`` / ``--sample-seed`` flags. Under
@@ -50,8 +51,6 @@ replace exact numbers).
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +63,16 @@ from repro.mem.cache import (
     WritePolicy,
 )
 from repro.mem.engines import mtc_fast_supported, simulate_mtc_fast
+from repro.mem.sampling import (  # noqa: F401 (re-exported)
+    _SAMPLE_MODULUS,
+    DEFAULT_STRATA,
+    SamplingConfig,
+    _env_sampling,
+    _env_seed,
+    configure_sampling,
+    current_sampling,
+    use_sampling,
+)
 from repro.obs import OBS
 from repro.trace.model import MemTrace, WORD_BYTES
 
@@ -88,19 +97,9 @@ __all__ = [
 #: Rate used by ``--engine sampled`` when no rate was configured.
 DEFAULT_SAMPLE_RATE = 0.01
 
-#: Jackknife strata per estimate. Each stratum costs one extra miniature
-#: simulation over ~(K-1)/K of the sampled references, so the whole
-#: envelope costs about K times the point estimate — still ~K*R of the
-#: exact run's work.
-DEFAULT_STRATA = 8
-
 #: ``auto`` never samples below this many references: at small scale the
 #: exact engines are already fast and estimates would be pure downside.
 AUTO_SAMPLED_MIN_REFS = 5_000_000
-
-#: Hash-space modulus for the inclusion threshold (power of two so the
-#: threshold test is a mask-and-compare). rate is quantized to 1/2^24.
-_SAMPLE_MODULUS = 1 << 24
 
 #: Normal ~99% two-sided quantile for the jackknife CI.
 _Z = 2.576
@@ -124,65 +123,6 @@ _MISS_RATE_FLOOR = 5e-4
 _MIN_SCALED_BLOCKS = 64
 
 
-@dataclass(frozen=True, slots=True)
-class SamplingConfig:
-    """Process-wide spatial-sampling parameters.
-
-    *rate* is the target inclusion probability per block (quantized to
-    1/2^24 — see :attr:`effective_rate`); *seed* decorrelates the block
-    hash between runs; *strata* sets the jackknife replicate count.
-    """
-
-    rate: float
-    seed: int = 0
-    strata: int = DEFAULT_STRATA
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rate <= 1.0) or math.isnan(self.rate):
-            raise ConfigurationError(
-                f"sample rate must be in (0, 1], got {self.rate!r}"
-            )
-        if self.strata < 2:
-            raise ConfigurationError(
-                f"jackknife needs at least 2 strata, got {self.strata}"
-            )
-
-    @property
-    def threshold(self) -> int:
-        """Inclusion threshold in hash space (at least one slot)."""
-        return max(1, round(self.rate * _SAMPLE_MODULUS))
-
-    @property
-    def effective_rate(self) -> float:
-        """The exact rate implied by the quantized threshold."""
-        return self.threshold / _SAMPLE_MODULUS
-
-
-def _env_seed() -> int:
-    raw_seed = os.environ.get("REPRO_SAMPLE_SEED", "0")
-    try:
-        return int(raw_seed)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"REPRO_SAMPLE_SEED is not an integer: {raw_seed!r}"
-        ) from exc
-
-
-def _env_sampling() -> SamplingConfig | None:
-    """``$REPRO_SAMPLE_RATE``/``$REPRO_SAMPLE_SEED``, or None without a
-    rate: a seed alone configures nothing."""
-    raw = os.environ.get("REPRO_SAMPLE_RATE")
-    if not raw:
-        return None
-    try:
-        rate = float(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"REPRO_SAMPLE_RATE is not a number: {raw!r}"
-        ) from exc
-    return SamplingConfig(rate=rate, seed=_env_seed())
-
-
 def default_sampling(seed: int | None = None) -> SamplingConfig:
     """The sampling of the sampled engine when no rate is configured: the
     default rate, seeded by *seed*, else by ``$REPRO_SAMPLE_SEED`` (0
@@ -190,46 +130,6 @@ def default_sampling(seed: int | None = None) -> SamplingConfig:
     if seed is None:
         seed = _env_seed()
     return SamplingConfig(DEFAULT_SAMPLE_RATE, seed=seed)
-
-
-#: Marks the process-wide parameters as not yet read from the
-#: environment (``None`` is a read, unconfigured state).
-_UNREAD = object()
-
-#: The process-wide parameters; ``_UNREAD`` until first resolved, when
-#: ``$REPRO_SAMPLE_RATE``/``$REPRO_SAMPLE_SEED`` are read and validated.
-#: Importing this module never fails on a bad value: only a run that
-#: resolves sampling does.
-_sampling: SamplingConfig | None | object = _UNREAD
-
-
-def configure_sampling(config: SamplingConfig | None) -> None:
-    """Set (or clear, with None) the process-wide sampling parameters."""
-    global _sampling
-    _sampling = config
-
-
-def current_sampling() -> SamplingConfig | None:
-    """The process-wide sampling parameters, or None when unconfigured."""
-    global _sampling
-    if _sampling is _UNREAD:
-        _sampling = _env_sampling()
-    return _sampling
-
-
-@contextmanager
-def use_sampling(config: SamplingConfig | None):
-    """Temporarily install sampling parameters; ``None`` is a no-op."""
-    global _sampling
-    if config is None:
-        yield
-        return
-    previous = _sampling
-    configure_sampling(config)
-    try:
-        yield
-    finally:
-        _sampling = previous
 
 
 def sampling_for(selection: str, references: int) -> SamplingConfig | None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 # Everything execute_request runs is imported here, not on a job's first
 # run: the server imports this module before it forks, so the router and
 # every shard it forks or respawns start with the compute path loaded.
-import repro.mem.sampled  # noqa: F401 (auto-engine check in Cache.simulate)
+import repro.mem.sampled  # noqa: F401 (a sweep may ask for the sampled engine)
 from repro import cli
 from repro.exec.context import execution
 from repro.mem.engines import use_engine

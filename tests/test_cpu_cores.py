@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cpu.branch import TwoLevelPredictor
 from repro.cpu.configs import experiment
 from repro.cpu.inorder import InOrderCore
 from repro.cpu.itrace import WorkloadProfile, build_instruction_trace
@@ -42,7 +41,7 @@ class Decoding:
         self.core = core
 
     def run(self, instruction_trace):
-        return self.core.run(instruction_trace.decode(TwoLevelPredictor(1024)))
+        return self.core.run(instruction_trace.decode(1024))
 
 
 def in_order(mode=MemoryMode.PERFECT, **kwargs):

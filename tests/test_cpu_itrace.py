@@ -75,7 +75,7 @@ class TestInstructionTraceContainer:
         itrace = instruction_trace_for_workload(
             get_workload("Compress"), max_refs=500
         )
-        decoded = itrace.decode(TwoLevelPredictor(1024))
+        decoded = itrace.decode(1024)
         for column, decoded_column, spare in (
             (itrace.dest, decoded.dest, ABSENT_DEST),
             (itrace.src1, decoded.src1, ABSENT_SOURCE),
@@ -93,7 +93,7 @@ class TestInstructionTraceContainer:
         itrace = instruction_trace_for_workload(
             get_workload("Compress"), max_refs=500
         )
-        decoded = itrace.decode(TwoLevelPredictor(1024))
+        decoded = itrace.decode(1024)
         reference = TwoLevelPredictor(1024)
         expected = [
             int(
@@ -125,7 +125,7 @@ class TestInstructionTraceContainer:
         )
         columns[field][1] = value
         with pytest.raises(TraceError, match=field):
-            InstructionTrace(**columns).decode(TwoLevelPredictor(64))
+            InstructionTrace(**columns).decode(64)
 
 
 class TestBuildInstructionTrace:

@@ -134,7 +134,6 @@ class TestBlockSizeAndSpeculation:
 
     def test_wrong_path_loads_add_traffic(self):
         """Table 1: speculative loads increase traffic when wrong."""
-        from repro.cpu.branch import TwoLevelPredictor
         from repro.cpu.itrace import WorkloadProfile, build_instruction_trace
         from repro.cpu.ooo import OutOfOrderCore
         from repro.mem.timing import MemoryMode, TimingMemory
@@ -156,7 +155,7 @@ class TestBlockSizeAndSpeculation:
                 lsq_size=16,
                 wrong_path_loads=wrong_path,
             )
-            core.run(itrace.decode(TwoLevelPredictor(1024)))
+            core.run(itrace.decode(1024))
             return memory.stats.l1_l2_traffic_bytes
 
         assert traffic(4) > traffic(0)
@@ -185,7 +184,7 @@ def _mode_runs(config, trace, params, modes=tuple(MemoryMode)):
     """``(CoreResult, TimingMemoryStats)`` of *config*'s core over *trace*
     with memory *params*, one run per mode in *modes*."""
     processor = config.processor
-    decoded = trace.decode(TwoLevelPredictor(processor.branch_table_entries))
+    decoded = trace.decode(processor.branch_table_entries)
     runs = []
     for mode in modes:
         memory = TimingMemory(params, mode)
@@ -376,9 +375,7 @@ class TestEdgeConfigurationDigests:
             for experiment_name in "AF":
                 config = experiment(experiment_name, workload.suite)
                 params = config.timing_memory_params(workload.scale)
-                decoded = trace.decode(
-                    TwoLevelPredictor(config.processor.branch_table_entries)
-                )
+                decoded = trace.decode(config.processor.branch_table_entries)
                 for mode in MemoryMode:
                     memory = TimingMemory(params, mode)
                     result = build(memory).run(decoded)

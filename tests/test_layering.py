@@ -45,10 +45,11 @@ def run_python(code: str, **env: str) -> subprocess.CompletedProcess:
     )
 
 
-def loaded_after(code: str) -> set[str]:
+def loaded_after(code: str, **env: str) -> set[str]:
     """The ``sys.modules`` names of a fresh interpreter that ran *code*."""
     result = run_python(
-        code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+        code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))",
+        **env,
     )
     assert result.returncode == 0, result.stderr
     return set(json.loads(result.stdout.splitlines()[-1]))
@@ -99,6 +100,21 @@ def test_serial_commands_never_load_the_pool(argv):
         (*POOL_AND_SERVER, "repro.exec.pool", "repro.exec.cache",
          "repro.exec.tiered", "repro.serve", "repro.scenario"),
     ) == []
+
+
+def test_an_exact_run_never_loads_the_sampled_engine():
+    """Under ``auto`` with no sampling rate set, a run reads the sampling
+    parameters and imports no sampled engine."""
+    argv = ["simulate", "Espresso", "--size", "4KB", "--assoc", "2",
+            "--mtc", "--max-refs", "20000"]
+    modules = loaded_after(
+        "import io\nfrom repro import cli\n"
+        f"assert cli.main({argv!r}, out=io.StringIO()) == 0",
+        REPRO_ENGINE="auto",
+        REPRO_SAMPLE_RATE="",
+    )
+    assert "repro.mem.sampling" in modules
+    assert "repro.mem.sampled" not in modules
 
 
 def test_serve_tree_imports_its_compute_path_before_forking():

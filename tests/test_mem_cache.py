@@ -254,7 +254,7 @@ class TestFastPathEquivalence:
         config = CacheConfig(size_bytes=size, block_bytes=block)
         fast = Cache(config).simulate(trace)
         general_cache = Cache(config, listener=lambda *a: None)
-        assert not engines._dm_fast_eligible(config, general_cache.listener)
+        assert engines.cache_vector_reason(config, general_cache.listener)
         general = general_cache.simulate(trace)
         for field in (
             "read_hits",

@@ -12,6 +12,7 @@ observable.
 import dataclasses
 import hashlib
 import heapq
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,11 +20,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.runner import ScaledAxis
+from repro.experiments.scenarios import SCENARIO_SPECS
 from repro.mem import engines
 from repro.mem.cache import AllocatePolicy, Cache, CacheConfig, WritePolicy
 from repro.mem.mtc import MinimalTrafficCache, MTCConfig
+from repro.scenario.spec import ScenarioSpec
+from repro.scenario.workload import ScenarioWorkload
 from repro.trace.model import MemTrace
-from repro.workloads.registry import all_workloads, get_workload
+from repro.workloads.registry import (
+    all_workloads,
+    get_workload,
+    workload_names,
+)
 
 
 def stats_key(stats):
@@ -157,6 +165,126 @@ def test_columns_empty_trace():
     assert stats_key(Cache(config).simulate(empty, engine="vector")) == (
         stats_key(Cache(config).simulate(empty, engine="scalar"))
     )
+
+
+# --------------------------------------------------------------------------
+# Stack-distance kernel (write-back/write-allocate LRU up to 16 ways)
+# --------------------------------------------------------------------------
+
+
+def few_blocks_per_set(ways: int, sets: int, max_len: int = 300):
+    """Block numbers over a few more blocks per set than *ways*, so that
+    windows stay open past the scan rounds and reach the lifting step."""
+    return st.lists(
+        st.integers(0, (ways + 3) * sets - 1), min_size=1, max_size=max_len
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ways=st.sampled_from([1, 2, 4, 8, 16, 32]),
+    sets=st.sampled_from([1, 2, 4]),
+    data=st.data(),
+    flush=st.booleans(),
+    rounds=st.integers(0, 3),
+)
+def test_stack_kernel_matches_scalar(ways, sets, data, flush, rounds):
+    """Every write-back/write-allocate LRU cache a ``CacheConfig`` can
+    hold (power-of-two ways): the kernel up to 16 ways, after 0-3 scan
+    rounds, and the stack loop at 32."""
+    blocks = data.draw(few_blocks_per_set(ways, sets))
+    n = len(blocks)
+    words = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    writes = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    trace = MemTrace(
+        np.asarray(blocks, dtype=np.int64) * 16 + np.asarray(words) * 4,
+        np.asarray(writes, dtype=bool),
+    )
+    config = CacheConfig(
+        size_bytes=16 * ways * sets, block_bytes=16, associativity=ways
+    )
+    scalar = Cache(config).simulate(trace, flush=flush, engine="scalar")
+    with mock.patch.object(engines, "_SCAN_ROUNDS", rounds):
+        vector = Cache(config).simulate(trace, flush=flush, engine="vector")
+    assert stats_key(vector) == stats_key(scalar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ways=st.integers(1, 17),
+    sets=st.sampled_from([1, 2, 4]),
+    data=st.data(),
+    rounds=st.integers(0, 3),
+    levels=st.integers(1, 3),
+)
+def test_stack_kernel_matches_the_loop_at_any_ways(
+    ways, sets, data, rounds, levels
+):
+    """The kernel against the stack loop at any number of ways, 17 too,
+    which no ``CacheConfig`` holds, with lifting tables so short that a
+    window's stretch takes several descents."""
+    blocks = data.draw(few_blocks_per_set(ways, sets))
+    n = len(blocks)
+    writes = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    loop = engines._lru_writeback_allocate(
+        blocks, writes, [{} for _ in range(sets)], ways
+    )
+    with mock.patch.object(
+        engines, "_SCAN_ROUNDS", rounds
+    ), mock.patch.object(engines, "_LIFT_LEVELS", levels):
+        kernel = engines._lru_stack_kernel(
+            np.asarray(blocks, dtype=np.int64),
+            np.asarray(writes, dtype=bool),
+            sets,
+            ways,
+        )
+    assert kernel == loop
+
+
+def test_three_hot_blocks_reach_the_lifting_step(monkeypatch):
+    """Three blocks that share a set leave windows the scan rounds cannot
+    settle; binary lifting settles them exactly."""
+    trace = hot_set_trace(hot_blocks=3)
+    lifted = []
+    lifted_hits = engines._lifted_hits
+
+    def counting(prev, begin, *rest):
+        lifted.append(begin.size)
+        return lifted_hits(prev, begin, *rest)
+
+    monkeypatch.setattr(engines, "_lifted_hits", counting)
+    config = CacheConfig(size_bytes=1024, block_bytes=32, associativity=4)
+    vector = Cache(config).simulate(trace, engine="vector")
+    assert sum(lifted) > 0
+    scalar = Cache(config).simulate(trace, engine="scalar")
+    assert stats_key(vector) == stats_key(scalar)
+
+
+#: The request kinds of the benchmark's serve-cold workload: every SPEC92
+#: workload and every committed scenario shape.
+SERVE_COLD_KINDS = [("workload", name) for name in workload_names("SPEC92")]
+SERVE_COLD_KINDS += [("scenario", name) for name in SCENARIO_SPECS]
+
+
+@pytest.mark.parametrize("kind,name", SERVE_COLD_KINDS)
+def test_serve_cold_requests_match_scalar(kind, name):
+    """Each serve-cold request kind at every grid shape, 1-way included,
+    at 3,000 references (served requests take 20,000)."""
+    refs, seed = 3000, 3
+    if kind == "workload":
+        workload = get_workload(name)
+    else:
+        spec = dict(SCENARIO_SPECS[name], refs=refs, seed=seed)
+        workload = ScenarioWorkload(ScenarioSpec.from_dict(spec))
+    trace = workload.generate(seed=seed, max_refs=refs)
+    sizes = sorted({size for size, _ in SERVE_COLD_SHAPES})
+    for size, assoc in SERVE_COLD_SHAPES + [(size, 1) for size in sizes]:
+        config = CacheConfig(
+            size_bytes=size, block_bytes=32, associativity=assoc
+        )
+        vector = Cache(config).simulate(trace, engine="vector")
+        scalar = Cache(config).simulate(trace, engine="scalar")
+        assert stats_key(vector) == stats_key(scalar), (size, assoc)
 
 
 # --------------------------------------------------------------------------
@@ -494,12 +622,14 @@ SERVE_COLD_SHAPES = [
 ]
 
 
-def hot_set_trace(n: int = 20_000, seed: int = 4) -> MemTrace:
-    """80% of references on 64 blocks that map to set 0 at every
+def hot_set_trace(
+    n: int = 20_000, seed: int = 4, hot_blocks: int = 64
+) -> MemTrace:
+    """80% of references on *hot_blocks* blocks that map to set 0 at every
     serve-cold shape (their block numbers are multiples of 1024, the
     grid's largest set count); the rest spread thinly over other sets."""
     rng = np.random.default_rng(seed)
-    hot = rng.integers(0, 64, size=n) * 1024 * 32
+    hot = rng.integers(0, hot_blocks, size=n) * 1024 * 32
     cold = rng.integers(0, 1 << 16, size=n) * 4
     addrs = np.where(rng.random(n) < 0.8, hot, cold)
     return MemTrace(
