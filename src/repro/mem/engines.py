@@ -11,7 +11,7 @@ equality):
 * :func:`simulate_cache_lru` — A-way set-associative LRU simulation
   for every write/allocate policy combination (and any replacement
   policy at associativity 1, where the victim is forced). A
-  write-back/write-allocate cache of up to 16 ways runs a vectorized
+  write-back/write-allocate cache of up to 8 ways runs a vectorized
   stack-distance kernel: one stable sort by set, then each reference's
   window since its block's previous one decides hit or miss. Wider
   sets and the other policies run a loop in which one
@@ -197,13 +197,15 @@ def _stable_order(keys: np.ndarray, max_key: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 #: The widest set the stack-distance kernel serves. Its work per window
-#: grows with the ways: one hot set of about as many blocks as ways costs
-#: it up to 1.6 times the stack loop's CPU at 16 ways and 2.2 times at 32
-#: (docs/performance.md, "Set-associative LRU").
-STACK_KERNEL_MAX_WAYS = 16
+#: grows with the ways: one set holding about as many hot blocks as ways
+#: costs it up to 1.22 times the stack loop's CPU at 8 ways, but 2.0
+#: times at 16 (docs/performance.md, "Set-associative LRU").
+STACK_KERNEL_MAX_WAYS = 8
 
 #: Vectorized rounds, of ``ways`` window positions each, before the
-#: windows still open are settled by binary lifting.
+#: windows still open are settled by binary lifting. One round costs 2%
+#: more CPU on serve-cold's 4-way shapes; a third saves up to 2.5% there
+#: but takes the hot-set worst case at 8 ways to 1.32 times the loop.
 _SCAN_ROUNDS = 2
 
 #: Levels of the lifting step's sparse table at most, so the table holds
@@ -406,12 +408,14 @@ def _window_hits(
     The window's distinct blocks are its first occurrences, the positions
     ``j`` inside it with ``prev[j] < begin``.
 
-    * A sliding maximum of ``prev`` over *ways* positions finds the
-      windows whose first *ways* entries are all first occurrences. They
-      miss, and they are most windows of a trace without a hot set.
-    * :data:`_SCAN_ROUNDS` vectorized rounds count the first occurrences
-      of the rest, *ways* positions at a time. A window misses once its
-      count reaches *ways*, and hits once it is scanned to its end.
+    * :data:`_SCAN_ROUNDS` vectorized rounds count the first occurrences,
+      *ways* positions at a time. A window misses once its count reaches
+      *ways*, and hits once it is scanned to its end.
+    * Before them, a sliding maximum of ``prev`` over *ways* positions
+      finds the windows whose first *ways* entries are all first
+      occurrences: the misses the first round would find, without its
+      *ways*-column matrix. On serve-cold's traces it settles 86% of the
+      windows at 4 ways and 66% at 8, and saves the kernel 15% of its CPU.
     * :func:`_lifted_hits` settles the windows still open.
     """
     lead = prev  # lead[j]: the largest prev over positions j .. j + width - 1
@@ -676,9 +680,9 @@ def _dm_stats_from_order(
     """Direct-mapped WB/WA stats given the set-grouped permutation.
 
     The family's per-size step. A single direct-mapped cache runs the
-    stack-distance kernel's one-way case instead; the differential suite
-    pins both to the scalar loop on every size of random sweeps, so they
-    cannot drift apart.
+    stack-distance kernel's one-way case instead, which counts the same
+    stats a second way; the differential suite pins both to the scalar
+    loop on every size of random sweeps.
     """
     n = blocks.size
     stats = CacheStats(

@@ -2,8 +2,8 @@
 
 One asyncio task owns the loop: wait until work is queued, drain up to
 ``max_inflight`` jobs, and hand the batch to
-:func:`repro.exec.pool.run_tasks` on a worker thread (so the event loop
-keeps serving HTTP while simulations run). ``run_tasks`` brings
+:func:`repro.exec.pool.run_tasks` on its one worker thread (so the event
+loop keeps serving HTTP while simulations run). ``run_tasks`` brings
 everything the execution layer already guarantees — process-pool fan-out
 across ``jobs`` workers, content-addressed result caching, the PR-4
 retry ladder, worker-crash recovery — so the serve layer adds no second
@@ -31,6 +31,7 @@ import asyncio
 import functools
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import RunInterrupted, TaskError
 from repro.exec import pool
@@ -81,6 +82,15 @@ class Scheduler:
         self._wakeup = asyncio.Event()
         self._stopping = False
         self._requeues: dict[str, int] = {}
+        #: Batches run one at a time, so on one thread. The loop's default
+        #: executor adds a thread whenever a batch is handed over before
+        #: the previous batch's thread reports idle, and each thread keeps
+        #: its own malloc arena of freed buffers: in 45 s serve-cold runs,
+        #: shards whose jobs ran on three threads peaked at 63-64 MB,
+        #: those on two at 56-61 MB, and on this one thread at 53 MB.
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-batch"
+        )
 
     # -- control (called from the server) ----------------------------------------
 
@@ -103,6 +113,12 @@ class Scheduler:
     async def run(self) -> int:
         """Serve batches until stopped; returns jobs drained in-flight
         after the stop request (the number the shutdown banner reports)."""
+        try:
+            return await self._serve()
+        finally:
+            self._executor.shutdown(wait=False)
+
+    async def _serve(self) -> int:
         drained_after_stop = 0
         while True:
             while not self._stopping and len(self.queue) == 0:
@@ -168,7 +184,7 @@ class Scheduler:
         start = time.perf_counter()
         try:
             values = await loop.run_in_executor(
-                None,
+                self._executor,
                 functools.partial(
                     pool.run_tasks,
                     tasks,

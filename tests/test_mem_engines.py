@@ -168,7 +168,7 @@ def test_columns_empty_trace():
 
 
 # --------------------------------------------------------------------------
-# Stack-distance kernel (write-back/write-allocate LRU up to 16 ways)
+# Stack-distance kernel (write-back/write-allocate LRU up to 8 ways)
 # --------------------------------------------------------------------------
 
 
@@ -190,8 +190,8 @@ def few_blocks_per_set(ways: int, sets: int, max_len: int = 300):
 )
 def test_stack_kernel_matches_scalar(ways, sets, data, flush, rounds):
     """Every write-back/write-allocate LRU cache a ``CacheConfig`` can
-    hold (power-of-two ways): the kernel up to 16 ways, after 0-3 scan
-    rounds, and the stack loop at 32."""
+    hold (power-of-two ways): the kernel up to 8 ways, after 0-3 scan
+    rounds, and the stack loop at 16 and 32."""
     blocks = data.draw(few_blocks_per_set(ways, sets))
     n = len(blocks)
     words = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
@@ -239,6 +239,30 @@ def test_stack_kernel_matches_the_loop_at_any_ways(
             ways,
         )
     assert kernel == loop
+
+
+@pytest.mark.parametrize(
+    "ways,engine",
+    [
+        (engines.STACK_KERNEL_MAX_WAYS, "_lru_stack_kernel"),
+        (2 * engines.STACK_KERNEL_MAX_WAYS, "_lru_writeback_allocate"),
+    ],
+)
+def test_the_kernel_serves_up_to_its_cap(monkeypatch, ways, engine):
+    """The kernel runs up to ``STACK_KERNEL_MAX_WAYS`` ways and the
+    stack loop past it."""
+    calls = []
+    for name in ("_lru_stack_kernel", "_lru_writeback_allocate"):
+        original = getattr(engines, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(engines, name, counting)
+    config = CacheConfig(size_bytes=4096, block_bytes=32, associativity=ways)
+    Cache(config).simulate(hot_set_trace(hot_blocks=ways), engine="vector")
+    assert calls == [engine]
 
 
 def test_three_hot_blocks_reach_the_lifting_step(monkeypatch):

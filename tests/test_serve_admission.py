@@ -1,6 +1,7 @@
 """Tests for admission control, the job table, and scheduler recovery."""
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -246,6 +247,25 @@ class TestSchedulerRecovery:
         assert table.get("a").state == DONE
         assert table.get("a").result == {"output": "a"}
         assert table.get("b").state == DONE
+
+    def test_batches_run_on_one_thread(self, monkeypatch):
+        """One batch at a time, all on the scheduler's one thread."""
+        threads = set()
+
+        def execute(request):
+            threads.add(threading.get_ident())
+            return {"output": request["workload"]}
+
+        monkeypatch.setattr("repro.serve.jobs.execute_request", execute)
+        queue = AdmissionQueue(16)
+        table = JobTable()
+        for index in range(16):
+            job = record(f"job-{index}")
+            table.resolve(job)
+            queue.offer(job)
+        run_scheduler_once(queue, table, max_inflight=1, jobs=1)
+        assert all(job.state == DONE for job in table.records.values())
+        assert len(threads) == 1
 
     def test_poisoned_job_fails_alone(self, monkeypatch):
         def sometimes(request):
