@@ -227,11 +227,16 @@ _POLICIES: dict[str, type[ReplacementPolicy]] = {
 }
 
 
-def make_policy(name: str, num_sets: int, ways: int) -> ReplacementPolicy:
-    """Instantiate a replacement policy by registry name."""
+def policy_class(name: str) -> type[ReplacementPolicy]:
+    """The replacement policy registered as *name* (any case)."""
     cls = _POLICIES.get(name.lower())
     if cls is None:
         raise ConfigurationError(
             f"unknown replacement policy {name!r}; known: {sorted(_POLICIES)}"
         )
-    return cls(num_sets, ways)
+    return cls
+
+
+def make_policy(name: str, num_sets: int, ways: int) -> ReplacementPolicy:
+    """Instantiate a replacement policy by registry name."""
+    return policy_class(name)(num_sets, ways)

@@ -22,7 +22,14 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.runner import ScaledAxis
 from repro.experiments.scenarios import SCENARIO_SPECS
 from repro.mem import engines
-from repro.mem.cache import AllocatePolicy, Cache, CacheConfig, WritePolicy
+from repro.mem import cache as cache_module
+from repro.mem.cache import (
+    AllocatePolicy,
+    Cache,
+    CacheConfig,
+    CacheStats,
+    WritePolicy,
+)
 from repro.mem.mtc import MinimalTrafficCache, MTCConfig
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.workload import ScenarioWorkload
@@ -611,6 +618,85 @@ def test_direct_mapped_sorts_cross_the_16_bit_set_index():
         assert stats_key(vector) == scalar, size
 
 
+#: Words a wide family trace draws from: at 16-byte blocks, 4096 blocks,
+#: so sets keep sharing blocks up to 2^11 sets and runs merge there.
+WIDE_WORDS = 1 << 14
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    block_bytes=st.sampled_from([16, 32, 64]),
+    flush=st.booleans(),
+)
+def test_direct_mapped_family_refines_wide_traces(data, block_bytes, flush):
+    """Traces over 2^14 words plus a few hot ones, whose refinements
+    merge runs, on a shuffled size list that repeats one size."""
+    n = data.draw(st.integers(1, 2000))
+    hot = data.draw(
+        st.lists(st.integers(0, WIDE_WORDS - 1), min_size=1, max_size=4)
+    )
+    hot_share = data.draw(st.sampled_from([0.2, 0.5, 0.8]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    words = np.where(
+        rng.random(n) < hot_share,
+        rng.choice(hot, size=n),
+        rng.integers(0, WIDE_WORDS, size=n),
+    )
+    trace = MemTrace(words * 4, rng.random(n) < 0.3)
+    exponents = data.draw(
+        st.lists(st.integers(0, 12), min_size=2, max_size=6, unique=True)
+    )
+    sizes = [block_bytes << exponent for exponent in exponents]
+    sizes = data.draw(
+        st.permutations(sizes + [data.draw(st.sampled_from(sizes))])
+    )
+    family = engines.direct_mapped_family(
+        trace, sizes, block_bytes=block_bytes, flush=flush
+    )
+    assert sorted(family) == sorted(set(sizes))
+    for size in sizes:
+        config = CacheConfig(size_bytes=size, block_bytes=block_bytes)
+        scalar = Cache(config).simulate(trace, flush=flush, engine="scalar")
+        assert stats_key(family[size]) == stats_key(scalar), size
+
+
+def test_direct_mapped_family_merges_runs_a_refinement_brings_together():
+    """Blocks A, B, A share a set at 2 sets and split at 4; the second A
+    writes. Three misses at 2 sets; at 4 sets A's two entries merge into
+    one dirty entry whose first reference reads."""
+    a, b = 0, 2  # block numbers: set 0 at 2 sets, sets 0 and 2 at 4
+    trace = MemTrace([a * 32, b * 32, a * 32 + 4], [False, False, True])
+    blocks, writes = trace.addresses // 32, trace.is_write
+    entries = engines._collapsed_by_set(blocks, writes, writes, 1)
+    assert [column.tolist() for column in entries] == [
+        [a, b, a], [False, False, True], [False, False, True]
+    ]
+    refined = engines._collapsed_by_set(*entries, 3)
+    assert [column.tolist() for column in refined] == [
+        [a, b], [False, False], [True, False]
+    ]
+    family = engines.direct_mapped_family(trace, [64, 128], block_bytes=32)
+    assert family[64].misses == 3
+    assert family[128].misses == 2
+    assert family[128].writes - family[128].write_hits == 0  # a read miss
+    assert family[128].flush_writeback_bytes == 32  # A stays dirty
+    for size in (64, 128):
+        config = CacheConfig(size_bytes=size, block_bytes=32)
+        scalar = Cache(config).simulate(trace, engine="scalar")
+        assert stats_key(family[size]) == stats_key(scalar), size
+
+
+def test_direct_mapped_family_of_an_empty_trace():
+    empty = MemTrace(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
+    family = engines.direct_mapped_family(empty, [1024, 256], block_bytes=32)
+    assert list(family) == [256, 1024]
+    for size, stats in family.items():
+        config = CacheConfig(size_bytes=size, block_bytes=32)
+        scalar = Cache(config).simulate(empty, engine="scalar")
+        assert stats_key(stats) == stats_key(scalar) == stats_key(CacheStats())
+
+
 def test_mtc_dense_ids_past_16_bits():
     """prepare_mtc sorts dense word ids on uint32 past 2^16 words."""
     trace = distinct_words_trace((1 << 16) + 500, n=70_000)
@@ -690,6 +776,26 @@ def test_listener_keeps_the_per_access_loop(monkeypatch):
     config = CacheConfig(size_bytes=4096, block_bytes=32, associativity=4)
     Cache(config, listener=lambda *args: None).simulate(trace, engine="auto")
     assert len(calls) == len(trace)
+
+
+def test_an_engine_served_cache_builds_no_per_set_state(monkeypatch):
+    """``Cache`` builds its replacement policy and set lines on first
+    per-access use: never under an engine, once under the scalar loop."""
+    built = []
+    make_policy = cache_module.make_policy
+
+    def counting(*args):
+        built.append(args)
+        return make_policy(*args)
+
+    monkeypatch.setattr(cache_module, "make_policy", counting)
+    trace = make_trace("mix", 500, seed=2)
+    config = CacheConfig(size_bytes=65536, block_bytes=32)
+    auto = Cache(config).simulate(trace, engine="auto")
+    assert built == []
+    scalar = Cache(config).simulate(trace, engine="scalar")
+    assert built == [("lru", 2048, 1)]
+    assert stats_key(auto) == stats_key(scalar)
 
 
 def test_engine_selection_roundtrip():

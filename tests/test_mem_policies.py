@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.mem.cache import CacheConfig
 from repro.mem.policies import (
     FIFOPolicy,
     LRUPolicy,
@@ -151,6 +152,12 @@ class TestRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown replacement"):
             make_policy("belady2", 1, 1)
+
+    def test_unknown_rejected_by_the_cache_config(self):
+        """A cache builds its policy on first access, so its config
+        checks the name."""
+        with pytest.raises(ConfigurationError, match="unknown replacement"):
+            CacheConfig(size_bytes=1024, replacement="belady2")
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ConfigurationError):
