@@ -3,8 +3,9 @@
 Times one Table 7-style row per SPEC92 benchmark — a full ladder of
 direct-mapped cache sizes — computed two ways: the per-cell path (one
 independent simulation per size, scalar loop) and the one-pass
-direct-mapped family (a single stable partition sweep producing every
-size at once). Results are asserted identical before timing is reported.
+direct-mapped family (one collapse of the trace, refined from each size
+to the next, producing every size at once). Results are asserted
+identical before timing is reported.
 This is the ``repro profile bench_sweep`` target; the aggregate row
 speedup is the profile's ``bench.sweep.speedup`` gauge.
 """
