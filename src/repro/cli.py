@@ -522,12 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--job-history",
         type=positive_int,
-        default=4096,
+        default=256,
         metavar="N",
         help=(
             "retain at most N terminal job records in memory per worker "
             "(evicted results are recovered from the cache on "
-            "resubmission; default: 4096)"
+            "resubmission; default: 256)"
         ),
     )
     serve.add_argument(
@@ -565,7 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=positive_float,
         default=0.05,
         metavar="SECONDS",
-        help="job-status polling interval (default: 0.05)",
+        help=(
+            "pause before asking again when a reply comes back unfinished "
+            "before its server-side wait ran out (default: 0.05)"
+        ),
     )
 
     submit = sub.add_parser(

@@ -89,6 +89,8 @@ class CacheConfig:
             )
         # Checked here: a cache builds its policy only on first access.
         policy_class(self.replacement)
+        # Stored canonical, so engine selection compares one spelling.
+        object.__setattr__(self, "replacement", self.replacement.lower())
 
     @classmethod
     def fully_associative(

@@ -129,7 +129,7 @@ class TimingMemoryParams:
         # TimingMemory keeps its own cache state and implements only these.
         for level, cache in (("L1", self.l1_config), ("L2", self.l2_config)):
             for name, value, supported in (
-                ("replacement", cache.replacement.lower(), "lru"),
+                ("replacement", cache.replacement, "lru"),
                 ("write_policy", cache.write_policy.value, "writeback"),
                 ("allocate", cache.allocate.value, "write-allocate"),
             ):

@@ -17,13 +17,14 @@ content addressing. Server-side error envelopes are re-raised as the
 one taxonomy whether it runs in-process or across the wire.
 
 :meth:`ServeClient.run` is the submit-and-wait convenience the ``repro
-submit`` CLI and the load generator use: it polls the job (honouring
-``Retry-After`` back-off on a full queue when asked to) and returns the
-completed result envelope, raising
-:class:`~repro.errors.RemoteJobFailed` when the server reports failure.
-Submissions the server answers inline (coalesced onto a completed job,
-or served from the tiered result cache) skip the polling loop entirely —
-the result rides back on the submit response.
+submit`` CLI and the load generator use: it submits with a server-side
+wait (``?wait=<seconds>``, see :mod:`repro.serve.server`), so the reply
+to a request whose job finishes within the wait carries the finished
+record and a cold request costs one round trip. Otherwise it waits on
+the job with GETs that ask for the same wait (honouring ``Retry-After``
+back-off on a full queue when asked to), returns the completed result
+envelope, and raises :class:`~repro.errors.RemoteJobFailed` when the
+server reports failure.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.errors import (
     ServiceUnavailable,
     ShardUnavailable,
 )
+from repro.serve.protocol import MAX_WAIT
 
 __all__ = ["ServeClient"]
 
@@ -53,7 +55,8 @@ _ERRORS_BY_STATUS = {
     404: JobNotFound,
 }
 
-#: Default polling cadence while waiting on a job (seconds).
+#: Pause (seconds) before asking again after a reply that came back
+#: unfinished before its wait ran out, as a draining server's does.
 DEFAULT_POLL = 0.05
 
 #: Retry-After parsing: unparseable headers fall back to this (seconds).
@@ -98,6 +101,9 @@ class ServeClient:
         self.port = parsed.port or 8765
         self.timeout = timeout
         self._connection: http.client.HTTPConnection | None = None
+        #: The server-side wait :meth:`job` asks for (seconds); only
+        #: :meth:`wait` sets it, around its own GETs.
+        self._job_wait = 0.0
 
     # -- transport -----------------------------------------------------------------
 
@@ -223,8 +229,15 @@ class ServeClient:
         return self._json("POST", "/v1/sweep", fields)
 
     def job(self, job_id: str) -> dict:
-        """``GET /v1/jobs/<id>`` — the full job record."""
-        return self._json("GET", f"/v1/jobs/{job_id}")
+        """``GET /v1/jobs/<id>`` — the full job record.
+
+        Called from :meth:`wait`, the GET asks the server to hold its
+        answer until the job finishes; otherwise it answers at once.
+        """
+        path = f"/v1/jobs/{job_id}"
+        if self._job_wait > 0:
+            path += f"?wait={self._job_wait:.3f}"
+        return self._json("GET", path)
 
     def healthz(self) -> dict:
         return self._json("GET", "/healthz")
@@ -248,6 +261,35 @@ class ServeClient:
 
     # -- conveniences --------------------------------------------------------------
 
+    def _wait_budget(self, deadline: float) -> float:
+        """The server-side wait one request may ask for: within
+        *deadline*, :data:`MAX_WAIT` and half the socket timeout."""
+        return max(
+            0.0, min(MAX_WAIT, deadline - time.monotonic(), self.timeout / 2)
+        )
+
+    @staticmethod
+    def _finished(job_id: str, record: dict) -> bool:
+        """True once *record* is ``done``; raises :class:`RemoteJobFailed`
+        for ``failed``/``cancelled``; False while queued or running."""
+        state = record.get("state")
+        if state in ("failed", "cancelled"):
+            error = record.get("error") or {}
+            raise RemoteJobFailed(
+                f"job {job_id} {state}: "
+                f"{error.get('type', '?')}: {error.get('message', '?')}"
+            )
+        return state == "done"
+
+    @staticmethod
+    def _pause(sent: float, wait: float, poll: float, deadline: float) -> None:
+        """Sleep *poll* seconds if a reply came back unfinished before its
+        *wait* ran out (a draining server, or one at its parked-waiter
+        cap): asking again at once would get the same answer."""
+        now = time.monotonic()
+        if now - sent < wait:
+            time.sleep(max(0.0, min(poll, deadline - now)))
+
     def wait(
         self,
         job_id: str,
@@ -255,31 +297,34 @@ class ServeClient:
         timeout: float = 300.0,
         poll: float = DEFAULT_POLL,
     ) -> dict:
-        """Poll until the job leaves the queued/running states.
+        """Wait until the job leaves the queued/running states.
 
-        Returns the final record for ``done`` jobs; raises
-        :class:`RemoteJobFailed` for ``failed``/``cancelled`` ones and
-        :class:`ServeError` on timeout. :class:`JobNotFound` propagates:
-        the record may have been evicted from a bounded job table —
-        :meth:`run` handles that by resubmitting.
+        Each GET asks the server to hold its answer until the job
+        finishes; *poll* is the pause after a reply that came back
+        unfinished before its wait ran out. Returns the final record for
+        ``done`` jobs; raises :class:`RemoteJobFailed` for
+        ``failed``/``cancelled`` ones and :class:`ServeError` on timeout.
+        :class:`JobNotFound` propagates: the record may have been evicted
+        from a bounded job table — :meth:`run` handles that by
+        resubmitting.
         """
         deadline = time.monotonic() + timeout
         while True:
-            record = self.job(job_id)
-            state = record.get("state")
-            if state == "done":
+            wait = self._wait_budget(deadline)
+            sent = time.monotonic()
+            self._job_wait = wait
+            try:
+                record = self.job(job_id)
+            finally:
+                self._job_wait = 0.0
+            if self._finished(job_id, record):
                 return record
-            if state in ("failed", "cancelled"):
-                error = record.get("error") or {}
-                raise RemoteJobFailed(
-                    f"job {job_id} {state}: "
-                    f"{error.get('type', '?')}: {error.get('message', '?')}"
-                )
             if time.monotonic() >= deadline:
                 raise ServeError(
-                    f"job {job_id} still {state} after {timeout:g}s"
+                    f"job {job_id} still {record.get('state')} after "
+                    f"{timeout:g}s"
                 )
-            time.sleep(poll)
+            self._pause(sent, wait, poll, deadline)
 
     def run(
         self,
@@ -300,13 +345,16 @@ class ServeClient:
         [0, 300] clamp; a 503 *without* one (a draining server) fails
         fast, because waiting would not help.
 
-        Submissions the server answers inline (cache hit or coalesced
-        onto a completed job) return immediately — the submit response
-        already carries the result. If a polled job vanishes (evicted
-        from a bounded job table between poll rounds, or lost with a
-        crashed shard's in-memory job table), the request is resubmitted:
-        the server recovers the result from its cache, as its 404 message
-        advises.
+        The submit asks the server to hold its reply until the job
+        finishes (within *timeout*, :data:`MAX_WAIT` and half the socket
+        timeout), so a job that finishes in that time, or was answered
+        from the cache or a completed equivalent, returns from the one
+        round trip. Otherwise :meth:`wait` takes over, and *poll* is its
+        pause after a reply that came back unfinished early. If the
+        waited-on job vanishes (evicted from a bounded job table, or lost
+        with a crashed shard's in-memory job table), the request is
+        resubmitted: the server recovers the result from its cache, as
+        its 404 message advises.
         """
         deadline = time.monotonic() + timeout
 
@@ -317,14 +365,14 @@ class ServeClient:
                 raise exc
             time.sleep(retry_after)
 
+        path = "/v1/simulate" if kind == "simulate" else "/v1/sweep"
         while True:
-            submitted = None
             while True:
+                wait = self._wait_budget(deadline)
+                sent = time.monotonic()
                 try:
-                    submitted = (
-                        self.submit_simulate(**fields)
-                        if kind == "simulate"
-                        else self.submit_sweep(**fields)
+                    submitted = self._json(
+                        "POST", f"{path}?wait={wait:.3f}", fields
                     )
                     break
                 except AdmissionRejected as exc:
@@ -333,8 +381,9 @@ class ServeClient:
                     if exc.retry_after is None:
                         raise  # draining: no amount of patience helps
                     _backoff(exc, exc.retry_after)
-            if submitted.get("state") == "done" and "result" in submitted:
+            if self._finished(submitted["job"], submitted):
                 return submitted
+            self._pause(sent, wait, poll, deadline)
             remaining = max(poll, deadline - time.monotonic())
             try:
                 return self.wait(

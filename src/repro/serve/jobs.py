@@ -24,6 +24,7 @@ parallel reimplementation.
 
 from __future__ import annotations
 
+import asyncio
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -59,9 +60,18 @@ CANCELLED = "cancelled"
 #: a resubmission of one of these coalesces instead of re-running.
 COALESCABLE_STATES = (QUEUED, RUNNING, DONE)
 
+#: States a job has not finished in: a waiting request parks on these.
+PENDING_STATES = (QUEUED, RUNNING)
+
 #: Terminal records a job table keeps by default (``--job-history``). A
-#: simulate record costs about 2.3 KB, so this caps a shard near 10 MB.
-DEFAULT_JOB_HISTORY = 4096
+#: record has to outlive its job only for a client that did not wait for
+#: it (``?wait=``) or whose wait ran out just before the job finished; a
+#: client whose GET then gets a 404 resubmits, and the result cache
+#: answers. A retained simulate record costs a shard about 2.2 KB of RSS
+#: (3,000 cold requests to one worker: 61.5-61.8 MB at a history of 4096
+#: against 54.8-55.2 MB at 16), so 4096 would let a busy shard's history
+#: set its peak RSS; 256 caps it near 0.6 MB.
+DEFAULT_JOB_HISTORY = 256
 
 
 @dataclass(slots=True)
@@ -155,6 +165,10 @@ class JobTable:
     _terminal: OrderedDict[str, None] = field(default_factory=OrderedDict)
     #: Terminal records dropped to honour the history bound.
     evicted: int = 0
+    #: Set and dropped at every terminal transition: parked waiters share
+    #: it and re-check their own record on waking. Made only while a
+    #: request waits, so a table nobody waits on holds none.
+    _transition: asyncio.Event | None = None
 
     def get(self, job_id: str) -> JobRecord | None:
         record = self.records.get(job_id)
@@ -190,13 +204,27 @@ class JobTable:
             del self.records[record.id]
             self._terminal.pop(record.id, None)
 
+    def next_transition(self) -> asyncio.Event:
+        """The event the next terminal transition (or :meth:`wake`) sets."""
+        if self._transition is None:
+            self._transition = asyncio.Event()
+        return self._transition
+
+    def wake(self) -> None:
+        """Wake every request parked on :meth:`next_transition`."""
+        event, self._transition = self._transition, None
+        if event is not None:
+            event.set()
+
     def mark_terminal(self, record: JobRecord) -> None:
         """Note that *record* reached a terminal state; enforce *history*.
 
         Idempotent; called by the scheduler (done/failed/cancelled) and
         by the admission fast path (cache-answered records are born
-        terminal).
+        terminal). Every path to a terminal state passes here, so this is
+        where parked waiters wake.
         """
+        self.wake()
         if self.records.get(record.id) is not record:
             return
         self._terminal[record.id] = None

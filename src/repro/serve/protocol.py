@@ -47,6 +47,7 @@ from repro.exec.keys import code_epoch, stable_hash
 from repro.util import parse_size
 
 __all__ = [
+    "MAX_WAIT",
     "PROTOCOL_VERSION",
     "SIMULATE_DEFAULTS",
     "SWEEP_DEFAULTS",
@@ -61,6 +62,12 @@ __all__ = [
 #: old cache entries stop matching (the code epoch usually retires them
 #: first, but the tag makes the intent explicit).
 PROTOCOL_VERSION = "repro.serve/v1"
+
+#: The longest a submit or job GET may ask the server to hold its answer
+#: for the job to finish (``?wait=<seconds>``; longer asks are clamped).
+#: Well below the router's 30 s proxy timeout, so a parked request never
+#: reads as a sick shard.
+MAX_WAIT = 10.0
 
 #: Optional-field defaults, kept equal to the ``repro simulate`` parser
 #: defaults (a test pins the two in sync).

@@ -71,8 +71,10 @@ The router is an :class:`~repro.serve.server.HttpServer`, so its
 connection loop and drain are the single-worker server's own.
 SIGINT/SIGTERM drains the router's connections, forwards SIGTERM to the
 workers (each drains its running batch and cancels its queue), and joins
-them before exiting 0. Supervisors stand down at drain — a shard dying
-mid-drain is reaped, not respawned.
+them before exiting 0. A shard holding a request parked on ``?wait=`` is
+signalled when the drain begins instead, since its drain is what answers
+that request. Supervisors stand down at drain — a shard dying mid-drain
+is reaped, not respawned.
 """
 
 from __future__ import annotations
@@ -112,10 +114,11 @@ WORKER_START_TIMEOUT = 30.0
 #: Per-worker cap on pooled (idle keep-alive) upstream connections.
 POOL_SIZE = 8
 
-#: Upper bound on one proxied round trip. Proxied requests are all fast
-#: admission-path replies (the heavy work happens asynchronously in the
-#: shard's scheduler), so anything slower than this is a sick shard, not
-#: a slow request.
+#: Upper bound on one proxied round trip. A proxied request is a fast
+#: admission-path reply (the heavy work happens asynchronously in the
+#: shard's scheduler), held at most ``MAX_WAIT`` (10 s) when it asks to
+#: wait for its job, so anything slower than this is a sick shard, not a
+#: slow request.
 PROXY_TIMEOUT = READ_TIMEOUT
 
 #: Per-shard fetch bound for the /healthz and /metrics aggregators —
@@ -370,6 +373,7 @@ class _ShardState:
         "ever_ready",
         "up_event",
         "breaker",
+        "parked",
     )
 
     def __init__(
@@ -392,6 +396,8 @@ class _ShardState:
         self.ever_ready = False
         self.up_event = asyncio.Event()
         self.breaker = CircuitBreaker()
+        #: Proxied requests in flight that asked the shard to wait.
+        self.parked = 0
 
 
 class ShardedServer(HttpServer):
@@ -676,10 +682,23 @@ class ShardedServer(HttpServer):
                     f"serve worker {state.index} exited during startup"
                 )
 
+    @staticmethod
+    def _signal(state: _ShardState) -> None:
+        if state.proc is not None and state.proc.is_alive():
+            state.proc.terminate()  # SIGTERM -> worker's graceful drain
+
+    def _begin_shutdown(self) -> None:
+        super()._begin_shutdown()
+        # A shard answers the requests parked on it (``?wait=``) early
+        # only when it drains, and the router's drain waits for those
+        # answers: signal the shards holding one now, not after it.
+        for state in self._shards:
+            if state.parked:
+                self._signal(state)
+
     def _stop_workers(self) -> None:
-        for proc in self._procs:
-            if proc is not None and proc.is_alive():
-                proc.terminate()  # SIGTERM -> worker's graceful drain
+        for state in self._shards:
+            self._signal(state)
         for proc in self._procs:
             if proc is not None:
                 proc.join(timeout=30)
@@ -976,7 +995,16 @@ class ShardedServer(HttpServer):
         if path == "/metrics" and method == "GET":
             return await self._metrics()
         shard = self._shard_for(method, target, body)
-        return await self._proxy(shard, method, target, body)
+        if "wait=" not in target.partition("?")[2]:
+            return await self._proxy(shard, method, target, body)
+        state = self._shards[shard]
+        state.parked += 1
+        try:
+            if self.draining:
+                self._signal(state)  # arrived after _begin_shutdown
+            return await self._proxy(shard, method, target, body)
+        finally:
+            state.parked -= 1
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -18,6 +18,14 @@ Endpoints::
     GET  /healthz       liveness + queue/jobs/cache     -> 200
     GET  /metrics       obs-registry text exposition    -> 200
 
+A submit or job GET may add ``?wait=<seconds>`` (clamped to
+:data:`~repro.serve.protocol.MAX_WAIT`): the server then holds its
+answer until the job finishes, the wait runs out, or a drain begins.
+A waited submit answers with the job record a GET returns, plus the
+submit's ``coalesced`` flag: 200 once the job has finished, 202 while it
+is still queued or running. So a cold request takes one round trip.
+Without ``wait`` every endpoint answers at once, as it always has.
+
 The request path is deliberately thin: normalise (400 on bad input),
 content-address, then answer without executing anything when possible —
 coalesce onto an in-flight or completed equivalent in the job table
@@ -51,12 +59,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import socket
 import sys
 import threading
 import time
 from dataclasses import dataclass
+from urllib.parse import parse_qsl
 
 from repro import obs
 from repro.errors import (
@@ -69,8 +79,19 @@ from repro.errors import (
 from repro.faults import FAULTS
 from repro.obs import OBS, TRACER
 from repro.serve.admission import AdmissionQueue
-from repro.serve.jobs import DEFAULT_JOB_HISTORY, DONE, JobRecord, JobTable
-from repro.serve.protocol import job_id, job_material, normalize_request
+from repro.serve.jobs import (
+    DEFAULT_JOB_HISTORY,
+    DONE,
+    PENDING_STATES,
+    JobRecord,
+    JobTable,
+)
+from repro.serve.protocol import (
+    MAX_WAIT,
+    job_id,
+    job_material,
+    normalize_request,
+)
 from repro.serve.scheduler import Scheduler
 
 __all__ = ["HttpServer", "ServeConfig", "SimulationServer"]
@@ -140,6 +161,23 @@ class ServeConfig:
     #: ``None`` for the router's default. Ignored by a standalone
     #: single-worker server.
     restart_policy: object | None = None
+
+
+def _requested_wait(query: str) -> float | None:
+    """The ``wait`` query parameter in seconds, clamped to
+    ``[0, MAX_WAIT]``; ``None`` when the request does not ask to wait."""
+    text = dict(parse_qsl(query, keep_blank_values=True)).get("wait")
+    if text is None:
+        return None
+    try:
+        seconds = float(text)
+        if math.isnan(seconds):
+            raise ValueError(text)
+    except ValueError:
+        raise ProtocolError(
+            f"query field 'wait' must be a number of seconds, got {text!r}"
+        ) from None
+    return min(max(seconds, 0.0), MAX_WAIT)
 
 
 def _json_bytes(payload: object) -> bytes:
@@ -438,6 +476,10 @@ class SimulationServer(HttpServer):
             retry=config.retry,
         )
         self._scheduler_task: asyncio.Task | None = None
+        #: Requests parked in :meth:`_hold`. Each holds a client
+        #: connection (and, behind a router, a router-to-shard one), so
+        #: their number is capped at the admission queue's capacity.
+        self.parked = 0
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -451,6 +493,12 @@ class SimulationServer(HttpServer):
             await self._listen(host=self.config.host, port=self.config.port)
         self._scheduler_task = asyncio.create_task(self.scheduler.run())
         self.ready.set()
+
+    def _begin_shutdown(self) -> None:
+        super()._begin_shutdown()
+        # Parked waiters answer now, with their job's current state and
+        # (like every reply once draining) Connection: close.
+        self.table.wake()
 
     async def _main(self, install_signals: bool) -> int:
         await self.start()
@@ -526,7 +574,7 @@ class SimulationServer(HttpServer):
             label = f"{tag}:{method} {target.split('?', 1)[0]}"
             FAULTS.fire("shard.slow", label)
             FAULTS.fire("shard.kill", label)
-        return self._route(method, target, body)
+        return await self._route(method, target, body)
 
     def _error_reply(self, exc: ServeError) -> Reply:
         status, body, ctype, headers = super()._error_reply(exc)
@@ -538,16 +586,28 @@ class SimulationServer(HttpServer):
 
     # -- routing -------------------------------------------------------------------
 
-    def _route(self, method: str, target: str, body: bytes) -> Reply:
-        path = target.split("?", 1)[0]
+    async def _route(self, method: str, target: str, body: bytes) -> Reply:
+        path, _, query = target.partition("?")
         if path in ("/v1/simulate", "/v1/sweep"):
             if method != "POST":
                 return self._method_not_allowed("POST")
-            return self._submit(path.rsplit("/", 1)[1], body)
+            wait = _requested_wait(query)
+            record, coalesced = self._submit(path.rsplit("/", 1)[1], body)
+            if wait is None:
+                return self._submitted(record, coalesced)
+            await self._hold(record, wait)
+            payload = record.describe()
+            payload["coalesced"] = coalesced
+            status = 202 if record.state in PENDING_STATES else 200
+            return _json_reply(status, payload)
         if path.startswith("/v1/jobs/"):
             if method != "GET":
                 return self._method_not_allowed("GET")
-            return self._job_status(path[len("/v1/jobs/"):])
+            wait = _requested_wait(query)
+            record = self._job(path[len("/v1/jobs/"):])
+            if wait:
+                await self._hold(record, wait)
+            return _json_reply(200, record.describe())
         if path == "/healthz":
             if method != "GET":
                 return self._method_not_allowed("GET")
@@ -564,7 +624,11 @@ class SimulationServer(HttpServer):
                              "message": f"use {allowed}"}}
         return _json_reply(405, payload, {"Allow": allowed})
 
-    def _submit(self, kind: str, body: bytes) -> Reply:
+    def _submit(self, kind: str, body: bytes) -> tuple[JobRecord, bool]:
+        """Admit one submission: coalesce, answer from the cache, or queue.
+
+        Returns the record that answers it and whether it coalesced.
+        """
         if self.draining:
             raise ServiceUnavailable(
                 "server is draining for shutdown; resubmit elsewhere or later"
@@ -609,6 +673,11 @@ class SimulationServer(HttpServer):
                 OBS.count("serve.submitted")
             self.scheduler.notify()
         self.scheduler._gauges()
+        return record, coalesced
+
+    @staticmethod
+    def _submitted(record: JobRecord, coalesced: bool) -> Reply:
+        """A submit's reply when it does not ask to wait."""
         payload = {
             "job": record.id,
             "state": record.state,
@@ -622,6 +691,33 @@ class SimulationServer(HttpServer):
             # costs one round trip, not submit + poll.
             payload["result"] = record.result
         return _json_reply(200 if (coalesced or answered) else 202, payload)
+
+    async def _hold(self, record: JobRecord, wait: float) -> None:
+        """Park until *record* finishes, *wait* seconds pass or a drain
+        begins. Past :attr:`parked`'s cap the request answers at once."""
+        if (
+            wait <= 0
+            or record.state not in PENDING_STATES
+            or self.draining
+            or self.parked >= self.queue.capacity
+        ):
+            return
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + wait
+        self.parked += 1
+        try:
+            while record.state in PENDING_STATES and not self.draining:
+                remaining = deadline - loop.time()
+                if remaining <= 0:
+                    return
+                try:
+                    await asyncio.wait_for(
+                        self.table.next_transition().wait(), remaining
+                    )
+                except asyncio.TimeoutError:
+                    return
+        finally:
+            self.parked -= 1
 
     def _answer_from_cache(self, record: JobRecord) -> bool:
         """Answer a fresh submission straight from the result cache.
@@ -651,14 +747,14 @@ class SimulationServer(HttpServer):
                 OBS.count("serve.cache.answered")
         return True
 
-    def _job_status(self, job_id_text: str) -> Reply:
+    def _job(self, job_id_text: str) -> JobRecord:
         record = self.table.get(job_id_text)
         if record is None:
             raise JobNotFound(
                 f"no job {job_id_text!r} (job state is in-memory; results "
                 f"persist in the result cache — resubmit to recover them)"
             )
-        return _json_reply(200, record.describe())
+        return record
 
     def _healthz(self) -> Reply:
         # One consistent snapshot: terminal transitions (scheduler) and
@@ -673,6 +769,7 @@ class SimulationServer(HttpServer):
                     "capacity": self.queue.capacity,
                 },
                 "inflight": self.scheduler.inflight,
+                "parked": self.parked,
                 "jobs": self.table.counts(),
                 "cache": self.cache.stats().to_json() if self.cache else None,
             }

@@ -492,7 +492,7 @@ class TestServeParser:
         assert not args.no_cache
         assert args.workers == 1
         assert args.hot_tier_bytes is None
-        assert args.job_history == 4096
+        assert args.job_history == 256
 
     def test_port_range_validated(self, capsys):
         for bad in ("-1", "65536", "http", "80.0"):

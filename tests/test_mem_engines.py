@@ -272,6 +272,28 @@ def test_the_kernel_serves_up_to_its_cap(monkeypatch, ways, engine):
     assert calls == [engine]
 
 
+@pytest.mark.parametrize("engine", ["vector", "auto"])
+@pytest.mark.parametrize("spelling", ["LRU", "Lru"])
+def test_lru_in_any_case_runs_the_kernel(monkeypatch, spelling, engine):
+    """The replacement name is matched in any case, as the policy
+    registry matches it: an upper-case LRU cache takes the kernel."""
+    calls = []
+    kernel = engines._lru_stack_kernel
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(engines, "_lru_stack_kernel", counting)
+    trace = hot_set_trace(hot_blocks=3)
+    config = CacheConfig(size_bytes=4096, associativity=2,
+                         replacement=spelling)
+    fast = Cache(config).simulate(trace, engine=engine)
+    assert len(calls) == 1
+    scalar = Cache(config).simulate(trace, engine="scalar")
+    assert dataclasses.asdict(fast) == dataclasses.asdict(scalar)
+
+
 def test_three_hot_blocks_reach_the_lifting_step(monkeypatch):
     """Three blocks that share a set leave windows the scan rounds cannot
     settle; binary lifting settles them exactly."""

@@ -810,21 +810,32 @@ class TestJobHistory:
     def test_client_run_resubmits_when_the_record_is_evicted(
         self, tmp_path, monkeypatch
     ):
-        """run() polling a job whose record was evicted mid-wait gets a
-        404, resubmits, and completes from the cache."""
+        """run() waiting on a job whose record was evicted mid-wait gets a
+        404, resubmits, and completes. The job is held until then, so the
+        submit's own (shortened) wait runs out first and run() must wait
+        on the job."""
+        from repro.serve import jobs
+
         release = threading.Event()
+        real_execute = jobs.execute_request
         real_wait = ServeClient.wait
         calls = {"n": 0}
+
+        def held_execute(request):
+            assert release.wait(30)
+            return real_execute(request)
 
         def evict_then_wait(self, job_id, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
+                release.set()
                 raise JobNotFound("job evicted (simulated)")
             return real_wait(self, job_id, **kwargs)
 
+        monkeypatch.setattr("repro.serve.jobs.execute_request", held_execute)
+        monkeypatch.setattr("repro.serve.client.MAX_WAIT", 0.05)
         monkeypatch.setattr(ServeClient, "wait", evict_then_wait)
         with running_server(cache_dir=str(tmp_path / "cache")) as (_, client):
-            release.set()
             record = client.run(
                 "simulate",
                 {"workload": "Espresso", "size": "4KB", "max_refs": 2000},
