@@ -989,13 +989,13 @@ class ShardedServer(HttpServer):
     # -- request handling ----------------------------------------------------------
 
     async def _handle(self, method: str, target: str, body: bytes) -> Reply:
-        path = target.split("?", 1)[0]
+        path, _, query = target.partition("?")
         if path == "/healthz" and method == "GET":
             return await self._healthz()
         if path == "/metrics" and method == "GET":
             return await self._metrics()
         shard = self._shard_for(method, target, body)
-        if "wait=" not in target.partition("?")[2]:
+        if "wait=" not in query:
             return await self._proxy(shard, method, target, body)
         state = self._shards[shard]
         state.parked += 1
